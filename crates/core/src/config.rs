@@ -29,9 +29,8 @@ pub enum RankingMode {
 /// How the repair phase iterates over detected error rows.
 ///
 /// Both strategies decide the same repairs, so reports are byte-identical
-/// either way (proven by `tests/repair_plan_vs_rowwise.rs`); the knob exists
-/// so benchmarks and the differential CI step can measure and verify the
-/// planner against the reference.
+/// either way (proven by `tests/repair_plan_vs_rowwise.rs`); the per-row
+/// loop is kept as the reference the planner is tested against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RepairStrategy {
     /// Column-level repair plan: error rows are grouped by distinct value,
@@ -41,32 +40,6 @@ pub enum RepairStrategy {
     Planner,
     /// The per-row reference loop (the differential oracle).
     RowWise,
-    /// Planner iteration, but each distinct value's minimal edit program is
-    /// found by intersecting the pattern automaton with a bounded edit
-    /// automaton (`datavinci_regex::intersect`), iteratively deepening the
-    /// distance cap and falling back to the unbounded DP on budget
-    /// overflow. Byte-identical output to [`RepairStrategy::Planner`]
-    /// (proven by `tests/intersect_vs_dp.rs`).
-    Intersect,
-}
-
-/// Knobs for the [`RepairStrategy::Intersect`] product search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IntersectConfig {
-    /// Hard cap on repair distance the product will explore before falling
-    /// back to the unbounded DP.
-    pub max_distance: usize,
-    /// Bound on settled product states per search.
-    pub state_budget: usize,
-}
-
-impl Default for IntersectConfig {
-    fn default() -> Self {
-        IntersectConfig {
-            max_distance: datavinci_regex::intersect::DEFAULT_MAX_EDIT_DISTANCE,
-            state_budget: datavinci_regex::intersect::DEFAULT_PRODUCT_STATE_BUDGET,
-        }
-    }
 }
 
 /// Full system configuration.
@@ -84,12 +57,9 @@ pub struct DataVinciConfig {
     pub learned_concretization: bool,
     /// Ranking strategy.
     pub ranking: RankingMode,
-    /// Repair execution strategy (distinct-value planner vs per-row loop
-    /// vs automaton intersection).
+    /// Repair execution strategy (distinct-value planner vs per-row
+    /// reference loop).
     pub repair_strategy: RepairStrategy,
-    /// Product-search bounds used when `repair_strategy` is
-    /// [`RepairStrategy::Intersect`].
-    pub intersect: IntersectConfig,
     /// Heuristic ranker weights.
     pub weights: RankerWeights,
     /// Decision-tree learner configuration.
@@ -119,7 +89,6 @@ impl Default for DataVinciConfig {
             learned_concretization: true,
             ranking: RankingMode::Heuristic,
             repair_strategy: RepairStrategy::default(),
-            intersect: IntersectConfig::default(),
             weights: RankerWeights::default(),
             dtree: DtreeConfig::default(),
             max_enumerated_candidates: 16,
@@ -171,15 +140,6 @@ impl DataVinciConfig {
             ..Default::default()
         }
     }
-
-    /// The automaton-intersection repair configuration (planner iteration,
-    /// product-based per-value edit search).
-    pub fn intersect_repair() -> Self {
-        DataVinciConfig {
-            repair_strategy: RepairStrategy::Intersect,
-            ..Default::default()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -205,17 +165,6 @@ mod tests {
             DataVinciConfig::rowwise_repair().repair_strategy,
             RepairStrategy::RowWise
         );
-        assert_eq!(
-            DataVinciConfig::intersect_repair().repair_strategy,
-            RepairStrategy::Intersect
-        );
-    }
-
-    #[test]
-    fn intersect_defaults_are_bounded() {
-        let cfg = IntersectConfig::default();
-        assert!(cfg.max_distance >= 8);
-        assert!(cfg.state_budget >= 1 << 12);
     }
 
     #[test]

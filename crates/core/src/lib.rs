@@ -41,13 +41,12 @@ pub mod persist;
 pub mod pipeline;
 pub mod ranker;
 pub mod repair_dp;
-pub mod repair_intersect;
 pub mod repair_plan;
 pub mod session;
 pub mod system;
 
 pub use concretize::Concretizer;
-pub use config::{DataVinciConfig, IntersectConfig, RankingMode, RepairStrategy, SemanticMode};
+pub use config::{DataVinciConfig, RankingMode, RepairStrategy, SemanticMode};
 pub use dtree::{learn, learn_weighted, DecisionTree, DtreeConfig};
 pub use edit::{AbstractRepair, EditAction, EditProgram, Emit, Slot};
 pub use exec_guided::ExecGuidedReport;
@@ -56,7 +55,6 @@ pub use persist::PersistError;
 pub use pipeline::{ColumnAnalysis, ColumnReport, DataVinci, TableReport};
 pub use ranker::{CandidateProperties, RankerWeights};
 pub use repair_dp::minimal_edit_program;
-pub use repair_intersect::{minimal_edit_program_product, program_from_path, IntersectStats};
 pub use repair_plan::{RepairGroup, RepairPlan};
 pub use session::{AnalysisSession, SessionResumeError, SessionSnapshot, SessionStats};
 pub use system::{CleaningSystem, Detection, RepairCandidate, RepairSuggestion};

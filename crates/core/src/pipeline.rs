@@ -17,10 +17,8 @@ use std::sync::Arc;
 use crate::concretize::Concretizer;
 use crate::config::{DataVinciConfig, RankingMode, RepairStrategy, SemanticMode};
 use crate::edit::AbstractRepair;
-use crate::edit::EditProgram;
 use crate::ranker::CandidateProperties;
 use crate::repair_dp::minimal_edit_program;
-use crate::repair_intersect::minimal_edit_program_product;
 use crate::repair_plan::RepairPlan;
 use crate::session::AnalysisSession;
 use crate::system::{CleaningSystem, Detection, RepairCandidate, RepairSuggestion};
@@ -454,8 +452,8 @@ impl DataVinci {
     /// and the concretizer borrows the session's shared feature context.
     ///
     /// Dispatches on [`DataVinciConfig::repair_strategy`]: the distinct-value
-    /// planner by default, the per-row reference loop, or the planner with
-    /// product-automaton edit search. All produce byte-identical reports.
+    /// planner by default, or the per-row reference loop. Both produce
+    /// byte-identical reports.
     pub fn repair_analysis_in(
         &self,
         session: &AnalysisSession<'_>,
@@ -463,33 +461,8 @@ impl DataVinci {
     ) -> ColumnReport {
         let _span = telemetry::span(stages::REPAIR);
         match self.cfg.repair_strategy {
-            RepairStrategy::Planner | RepairStrategy::Intersect => {
-                self.repair_analysis_planned(session, analysis)
-            }
+            RepairStrategy::Planner => self.repair_analysis_planned(session, analysis),
             RepairStrategy::RowWise => self.repair_analysis_rowwise(session, analysis),
-        }
-    }
-
-    /// One minimal-edit-program search, routed per
-    /// [`DataVinciConfig::repair_strategy`]: the unbounded DP, or the
-    /// bounded pattern × edit-automaton product (which returns the
-    /// identical program and additionally reports exploration counters
-    /// under `stage.repair`).
-    fn edit_program_for(
-        &self,
-        dag: &datavinci_regex::Dag,
-        value: &MaskedString,
-    ) -> Option<EditProgram> {
-        if self.cfg.repair_strategy == RepairStrategy::Intersect {
-            let (program, stats) = minimal_edit_program_product(dag, value, &self.cfg.intersect);
-            telemetry::counter("repair.product_runs", 1);
-            telemetry::counter("repair.product_states", stats.states_explored);
-            if stats.fell_back {
-                telemetry::counter("repair.product_fallbacks", 1);
-            }
-            program
-        } else {
-            minimal_edit_program(dag, value)
         }
     }
 
@@ -658,12 +631,11 @@ impl DataVinci {
                     .map(|&pi| {
                         let lp = &analysis.profile.patterns[pi];
                         let dag = lp.compiled.dag_for_len(value.len());
-                        self.edit_program_for(&dag, value)
-                            .map(|program| PatternRepair {
-                                cost: program.cost,
-                                alnum: program.alnum_edits(value),
-                                repair: program.apply(value),
-                            })
+                        minimal_edit_program(&dag, value).map(|program| PatternRepair {
+                            cost: program.cost,
+                            alnum: program.alnum_edits(value),
+                            repair: program.apply(value),
+                        })
                     })
                     .collect();
                 state.invariant = repairs.iter().enumerate().all(|(si, pr)| {
@@ -786,7 +758,7 @@ impl DataVinci {
         for &pi in &analysis.significant {
             let lp = &analysis.profile.patterns[pi];
             let dag = lp.compiled.dag_for_len(value.len());
-            let Some(program) = self.edit_program_for(&dag, value) else {
+            let Some(program) = minimal_edit_program(&dag, value) else {
                 continue;
             };
             let abstract_repair = program.apply(value);

@@ -194,7 +194,7 @@ pub fn minimal_edit_program(dag: &Dag, value: &MaskedString) -> Option<EditProgr
     })
 }
 
-pub(crate) fn emit_for(dag: &Dag, edge: usize) -> Emit {
+fn emit_for(dag: &Dag, edge: usize) -> Emit {
     match &dag.edges[edge].label {
         DagLabel::Lit(c) => Emit::Char(*c),
         DagLabel::Class(cc, key) => Emit::Class(*cc, *key),

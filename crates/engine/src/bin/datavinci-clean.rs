@@ -4,8 +4,7 @@
 //! datavinci-clean input.csv [-o out.csv] [--report report.json]
 //!                 [--metrics metrics.json] [--trace]
 //!                 [--workers N] [--semantics full|limited|none]
-//!                 [--strategy planner|rowwise|intersect] [--types] [--no-cache]
-//!                 [--quiet]
+//!                 [--types] [--no-cache] [--quiet]
 //! datavinci-clean --follow [input.csv|-] [--chunk-rows N] [--window-rows N]
 //!                 [-o out.csv] ...
 //! ```
@@ -36,7 +35,7 @@
 use std::io::{Read, Write};
 use std::process::ExitCode;
 
-use datavinci_core::{DataVinci, DataVinciConfig, RepairStrategy, SemanticMode, TypeDetection};
+use datavinci_core::{DataVinci, DataVinciConfig, SemanticMode, TypeDetection};
 use datavinci_engine::json::Json;
 use datavinci_engine::{
     serve, session_stats_json, telemetry_json, ArtifactStore, Engine, EngineConfig, EngineReport,
@@ -53,7 +52,6 @@ struct Args {
     trace: bool,
     workers: usize,
     semantics: SemanticMode,
-    strategy: RepairStrategy,
     types: bool,
     cache: bool,
     quiet: bool,
@@ -76,11 +74,11 @@ impl Args {
 const USAGE: &str = "usage: datavinci-clean INPUT.csv [-o OUT.csv] [--report REPORT.json] \
                      [--metrics METRICS.json] [--trace] \
                      [--workers N] [--semantics full|limited|none] \
-                     [--strategy planner|rowwise|intersect] [--types] [--no-cache] [--quiet] \
+                     [--types] [--no-cache] [--quiet] \
                      [--store DIR] [--store-budget BYTES] [--tenant NAME]\n\
        datavinci-clean --follow [INPUT.csv|-] [--chunk-rows N] [--window-rows N] \
                      [-o OUT.csv] [--metrics METRICS.json] [--trace] [--workers N] \
-                     [--semantics ...] [--strategy ...] [--quiet]\n\
+                     [--semantics ...] [--quiet]\n\
        datavinci-clean --connect ADDR INPUT.csv [-o OUT.csv] [--tenant NAME] [--quiet]";
 
 /// `Ok(None)` means help was requested (print usage, exit 0).
@@ -93,7 +91,6 @@ fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
         trace: false,
         workers: 0,
         semantics: SemanticMode::Full,
-        strategy: RepairStrategy::Planner,
         types: false,
         cache: true,
         quiet: false,
@@ -128,14 +125,6 @@ fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
                     "limited" => SemanticMode::Limited,
                     "none" => SemanticMode::None,
                     other => return Err(format!("unknown --semantics mode: {other}")),
-                }
-            }
-            "--strategy" => {
-                args.strategy = match value(arg)?.as_str() {
-                    "planner" => RepairStrategy::Planner,
-                    "rowwise" => RepairStrategy::RowWise,
-                    "intersect" => RepairStrategy::Intersect,
-                    other => return Err(format!("unknown --strategy: {other}")),
                 }
             }
             "--types" => args.types = true,
@@ -327,7 +316,6 @@ fn run_follow(args: &Args) -> Result<(), String> {
 
     let mut dv = Some(DataVinci::with_config(DataVinciConfig {
         semantics: args.semantics,
-        repair_strategy: args.strategy,
         ..DataVinciConfig::default()
     }));
     let stream_cfg = StreamConfig {
@@ -547,7 +535,6 @@ fn run(args: &Args) -> Result<(), String> {
 
     let dv = DataVinci::with_config(DataVinciConfig {
         semantics: args.semantics,
-        repair_strategy: args.strategy,
         ..DataVinciConfig::default()
     });
     let mut engine = Engine::with_system(

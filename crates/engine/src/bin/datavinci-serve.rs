@@ -4,7 +4,6 @@
 //! datavinci-serve --listen 127.0.0.1:7433 [--store DIR] [--store-budget BYTES]
 //!                 [--workers N] [--cache-capacity N]
 //!                 [--semantics full|limited|none]
-//!                 [--strategy planner|rowwise|intersect]
 //! datavinci-serve --unix /run/datavinci.sock [...]
 //! ```
 //!
@@ -21,13 +20,12 @@
 use std::io::Write;
 use std::process::ExitCode;
 
-use datavinci_core::{RepairStrategy, SemanticMode};
+use datavinci_core::SemanticMode;
 use datavinci_engine::{Server, ServerConfig};
 
 const USAGE: &str = "usage: datavinci-serve (--listen HOST:PORT | --unix PATH) \
                      [--store DIR] [--store-budget BYTES] [--workers N] \
-                     [--cache-capacity N] [--semantics full|limited|none] \
-                     [--strategy planner|rowwise|intersect]";
+                     [--cache-capacity N] [--semantics full|limited|none]";
 
 struct Args {
     listen: Option<String>,
@@ -76,14 +74,6 @@ fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
                     "limited" => SemanticMode::Limited,
                     "none" => SemanticMode::None,
                     other => return Err(format!("unknown --semantics mode: {other}")),
-                }
-            }
-            "--strategy" => {
-                args.cfg.strategy = match value(arg)?.as_str() {
-                    "planner" => RepairStrategy::Planner,
-                    "rowwise" => RepairStrategy::RowWise,
-                    "intersect" => RepairStrategy::Intersect,
-                    other => return Err(format!("unknown --strategy: {other}")),
                 }
             }
             "--help" | "-h" => return Ok(None),

@@ -11,7 +11,7 @@ use crate::report::{
     cache_stats_into, session_stats_into, BatchReport, CacheOutcome, ColumnOutcome, EngineReport,
 };
 use crate::store::{ArtifactStore, FlushStats, LoadStats, StoreError};
-use datavinci_core::{AnalysisSession, DataVinci, RepairStrategy, TableReport};
+use datavinci_core::{AnalysisSession, DataVinci, TableReport};
 use datavinci_table::{CellRef, CellValue, Table};
 use datavinci_telemetry::{self as telemetry, MetricsFrame, MetricsRegistry, TaskProfile};
 
@@ -32,11 +32,6 @@ pub struct EngineConfig {
     /// every instrumentation point short-circuits on one relaxed atomic
     /// load and cleaning output is byte-identical.
     pub telemetry: bool,
-    /// Override the wrapped system's repair strategy (planner, row-wise,
-    /// or automaton intersection). `None` keeps whatever the
-    /// `DataVinciConfig` already says. All strategies produce byte-identical
-    /// reports; the knob trades exploration work and instrumentation.
-    pub repair_strategy: Option<RepairStrategy>,
 }
 
 impl Default for EngineConfig {
@@ -46,7 +41,6 @@ impl Default for EngineConfig {
             cache: true,
             cache_capacity: DEFAULT_CACHE_CAPACITY,
             telemetry: false,
-            repair_strategy: None,
         }
     }
 }
@@ -94,14 +88,6 @@ impl Engine {
     /// An engine around an explicitly configured cleaning system (ablations,
     /// semantic modes, custom thresholds).
     pub fn with_system(dv: DataVinci, cfg: EngineConfig) -> Engine {
-        let dv = match cfg.repair_strategy {
-            Some(strategy) if strategy != dv.config().repair_strategy => {
-                let mut system_cfg = dv.config().clone();
-                system_cfg.repair_strategy = strategy;
-                DataVinci::with_config(system_cfg)
-            }
-            _ => dv,
-        };
         Engine {
             dv,
             pool: WorkerPool::new(cfg.workers),
@@ -593,35 +579,6 @@ mod tests {
         let stats = engine.cache_stats().unwrap();
         assert!(stats.report_hits >= 2);
         assert_eq!(stats.misses as usize, cold.columns.len());
-    }
-
-    #[test]
-    fn repair_strategy_override_rewires_the_system() {
-        let engine = Engine::with_config(EngineConfig {
-            repair_strategy: Some(RepairStrategy::Intersect),
-            ..EngineConfig::default()
-        });
-        assert_eq!(
-            engine.system().config().repair_strategy,
-            RepairStrategy::Intersect
-        );
-        // `None` keeps the wrapped system's own choice.
-        let keep = Engine::with_system(
-            DataVinci::with_config(datavinci_core::DataVinciConfig::rowwise_repair()),
-            EngineConfig::default(),
-        );
-        assert_eq!(
-            keep.system().config().repair_strategy,
-            RepairStrategy::RowWise
-        );
-        // Overridden engines still clean identically.
-        let table = players_table();
-        let baseline = Engine::new().clean_table(&table);
-        let report = engine.clean_table(&table);
-        assert_eq!(
-            format!("{:?}", report.table_report()),
-            format!("{:?}", baseline.table_report())
-        );
     }
 
     #[test]

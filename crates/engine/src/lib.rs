@@ -51,9 +51,8 @@ pub use cache::{
 pub use engine::{Engine, EngineConfig};
 pub use pool::WorkerPool;
 pub use report::{
-    cache_stats_into, cache_stats_json, histogram_json, metrics_frame_json, session_stats_into,
-    session_stats_json, span_node_json, telemetry_json, BatchReport, CacheOutcome, ColumnOutcome,
-    EngineReport,
+    cache_stats_into, histogram_json, metrics_frame_json, session_stats_into, session_stats_json,
+    span_node_json, telemetry_json, BatchReport, CacheOutcome, ColumnOutcome, EngineReport,
 };
 pub use serve::{Server, ServerConfig};
 pub use store::{

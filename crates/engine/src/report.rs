@@ -167,10 +167,9 @@ pub fn session_stats_json(stats: &SessionStats) -> Json {
 /// Mirrors [`SessionStats`] into the unified metrics schema: every integer
 /// field becomes a `session.*` counter, the derived sharing factor a gauge.
 ///
-/// This (plus [`cache_stats_into`]) is the canonical mapping the tentpole
-/// unifies the old ad-hoc stat structs onto; [`session_stats_json`] and
-/// [`cache_stats_json`] remain as deprecated aliases for the legacy report
-/// sections.
+/// This (plus [`cache_stats_into`]) is the canonical metrics mapping;
+/// [`session_stats_json`] and [`CacheStats::to_json`] render the same
+/// stats for the report's `session` and `cache` sections.
 pub fn session_stats_into(frame: &mut MetricsFrame, stats: &SessionStats) {
     frame.add_counter("session.feature_generations", stats.feature_generations);
     frame.add_counter("session.feature_rows_computed", stats.feature_rows_computed);
@@ -205,13 +204,6 @@ pub fn cache_stats_into(frame: &mut MetricsFrame, stats: &CacheStats) {
     frame.set_counter("engine.cache.evictions.session", stats.session_evictions);
     frame.set_counter("engine.cache.evictions.snapshot", stats.snapshot_evictions);
     frame.set_gauge("engine.cache.bytes", stats.bytes as f64);
-}
-
-/// The legacy JSON rendering of cumulative cache statistics — a deprecated
-/// alias of [`CacheStats::to_json`]; new consumers should read the
-/// `engine.cache.*` counters from [`cache_stats_into`]'s schema instead.
-pub fn cache_stats_json(stats: &CacheStats) -> Json {
-    stats.to_json()
 }
 
 /// One span node as JSON: `{name, count, total_ns, children: [...]}`.

@@ -154,7 +154,6 @@ impl State {
                 cache: true,
                 cache_capacity: self.cfg.cache_capacity,
                 telemetry: false,
-                ..EngineConfig::default()
             },
         );
         if let Some(dir) = &self.cfg.store_dir {
@@ -236,7 +235,7 @@ impl Server {
     /// engines, so concurrent clients of one tenant hit one cache.
     pub fn run(self) -> std::io::Result<()> {
         let Server { listener, state } = self;
-        let mut handles = Vec::new();
+        let mut handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
         loop {
             let conn = match &listener {
                 Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
@@ -248,6 +247,9 @@ impl Server {
             let conn = conn?;
             let state = Arc::clone(&state);
             let address = self_address(&listener);
+            // Dropping a finished thread's handle detaches it, which releases
+            // its stack; a held handle keeps the stack mapped until joined.
+            handles.retain(|h| !h.is_finished());
             handles.push(std::thread::spawn(move || {
                 state.connections.fetch_add(1, Ordering::SeqCst);
                 serve_connection(conn, &state, &address);

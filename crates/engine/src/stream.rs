@@ -131,7 +131,6 @@ impl StreamCleaner {
                 cache: true,
                 cache_capacity,
                 telemetry: cfg.telemetry,
-                repair_strategy: None,
             },
         );
         StreamCleaner {

@@ -34,8 +34,6 @@ fn cleans_fixture_csv_and_writes_report() {
         out_json.to_str().unwrap(),
         "--workers",
         "2",
-        "--strategy",
-        "planner",
         "--types",
     ]);
     assert!(
@@ -67,8 +65,18 @@ fn cleans_fixture_csv_and_writes_report() {
 
 #[test]
 fn rejects_missing_input_with_usage() {
-    let output = run_cli(&[]);
-    assert_eq!(output.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(stderr.contains("usage: datavinci-clean"), "{stderr}");
+    let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/players.csv");
+    // No input at all, and an otherwise valid run with an unknown flag.
+    for args in [
+        vec![],
+        vec![fixture.to_str().unwrap(), "--strategy", "planner"],
+    ] {
+        let output = run_cli(&args);
+        assert_eq!(output.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains("usage: datavinci-clean"),
+            "{args:?}: {stderr}"
+        );
+    }
 }

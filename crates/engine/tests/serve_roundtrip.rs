@@ -56,6 +56,41 @@ fn ping_pongs() {
     shutdown(&address, handle);
 }
 
+/// Each connection runs on its own thread. A finished thread must release
+/// its stack instead of keeping it mapped until shutdown: with a mapping
+/// leaked per connection, a long-lived daemon eventually hits the kernel's
+/// map-count limit and can no longer spawn threads.
+#[cfg(target_os = "linux")]
+#[test]
+fn finished_connection_threads_release_their_stacks() {
+    fn mappings() -> usize {
+        std::fs::read_to_string("/proc/self/maps")
+            .expect("procfs")
+            .lines()
+            .count()
+    }
+    const CONNECTIONS: usize = 400;
+    let (address, handle) = boot(ServerConfig::default());
+    let ping = Json::obj().field("op", Json::str("ping"));
+    // Warm up so allocator arenas and the thread-stack cache are in place.
+    for _ in 0..20 {
+        roundtrip(&address, &ping).unwrap();
+    }
+    let before = mappings();
+    for _ in 0..CONNECTIONS {
+        let response = roundtrip(&address, &ping).unwrap();
+        assert_eq!(response.get("pong"), Some(&Json::Bool(true)));
+    }
+    let growth = mappings().saturating_sub(before);
+    shutdown(&address, handle);
+    // Other tests in this binary run concurrently and add a few mappings of
+    // their own; a leak adds at least one per connection.
+    assert!(
+        growth < CONNECTIONS / 4,
+        "{growth} new mappings after {CONNECTIONS} sequential connections"
+    );
+}
+
 #[test]
 fn daemon_clean_is_byte_identical_to_batch() {
     let (address, handle) = boot(ServerConfig::default());

@@ -24,7 +24,6 @@ pub mod dag;
 pub mod dfa;
 pub mod display;
 pub mod edit_distance;
-pub mod intersect;
 pub mod matcher;
 mod nfa;
 pub mod token;
@@ -36,9 +35,5 @@ pub use dag::{Dag, DagEdge, DagLabel};
 pub use dfa::AsciiBatch;
 pub use display::render;
 pub use edit_distance::{levenshtein, levenshtein_toks, levenshtein_within};
-pub use intersect::{
-    enumerate_within, intersect_minimal, ProductConfig, ProductEnumeration, ProductOutcome,
-    ProductPath, ProductStats, ProductStep,
-};
 pub use matcher::{Binding, Bindings, CompiledPattern};
 pub use token::{MaskAlphabet, MaskId, MaskedString, Tok};
