@@ -2,10 +2,9 @@
 //!
 //! The paper reports RAM (+VRAM) per system; our stand-in is live-heap peak
 //! during a run, measured by wrapping the system allocator. The wrapper also
-//! keeps a monotonic count of allocation calls, which the hot-path bench
-//! and the allocs/row regression gate read before/after a run to compute
-//! allocations per row. Binaries and test targets opt in with
-//! `#[global_allocator]`.
+//! keeps a monotonic count of allocation calls, which the allocs/row
+//! regression gate reads before/after a run to compute allocations per row.
+//! Binaries and test targets opt in with `#[global_allocator]`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -24,9 +24,7 @@ pub use runner::{ExecMode, ExecOutcome, Harness, SystemKind};
 pub struct Cli {
     /// Benchmark scale.
     pub scale: datavinci_corpus::Scale,
-    /// Evaluation seed, when given explicitly via `--seed N`.
-    pub explicit_seed: Option<u64>,
-    /// Evaluation seed (explicit or the 2024 default).
+    /// Evaluation seed (`--seed N`, default 2024).
     pub seed: u64,
     /// Smoke-scale run?
     pub smoke: bool,
@@ -34,19 +32,9 @@ pub struct Cli {
     pub full: bool,
 }
 
-/// The value following flag `name` in `std::env::args`, if present
-/// (shared by the bench binaries' ad-hoc flags like `--out PATH`).
-pub fn arg_after(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
 /// The seeded noisy PlayerWithCategory+Quarter table behind the
 /// `profile_200_row_column` / `clean_column_end_to_end` micro-benches and
-/// the `--bin regex` matcher A/B — one definition, so every harness
+/// the release-only gate tests — one definition, so every harness
 /// measures the same workload.
 pub fn sample_noisy_table(seed: u64, rows: usize) -> datavinci_table::Table {
     use rand::SeedableRng;
@@ -65,9 +53,21 @@ pub fn sample_noisy_table(seed: u64, rows: usize) -> datavinci_table::Table {
 }
 
 impl Cli {
-    /// Parses `--smoke`, `--full`, `--seed N` from `std::env::args`.
+    /// Parses `--smoke`, `--full`, `--seed N` from `std::env::args`; on a
+    /// bad `--seed` prints the error and exits with status 2.
     pub fn parse() -> Cli {
-        let args: Vec<String> = std::env::args().collect();
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Cli::from_args(&args).unwrap_or_else(|msg| {
+            eprintln!("error: {msg}");
+            eprintln!("usage: [--smoke | --full] [--seed N]");
+            std::process::exit(2)
+        })
+    }
+
+    /// Parses the arguments after the program name. A `--seed` without an
+    /// unsigned integer after it is an error rather than the default seed,
+    /// so a run is never labelled with a seed it did not use.
+    pub fn from_args(args: &[String]) -> Result<Cli, String> {
         let mut scale = datavinci_corpus::Scale {
             n_tables: 60,
             row_divisor: 2,
@@ -81,17 +81,48 @@ impl Cli {
             scale = datavinci_corpus::Scale::paper();
             full = true;
         }
-        let explicit_seed = args
-            .iter()
-            .position(|a| a == "--seed")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|s| s.parse().ok());
-        Cli {
+        let seed = match args.iter().position(|a| a == "--seed") {
+            None => 2024,
+            Some(i) => {
+                let value = args.get(i + 1).ok_or("--seed needs a value")?;
+                value
+                    .parse()
+                    .map_err(|_| format!("--seed needs an unsigned integer, got {value:?}"))?
+            }
+        };
+        Ok(Cli {
             scale,
-            explicit_seed,
-            seed: explicit_seed.unwrap_or(2024),
+            seed,
             smoke,
             full,
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Cli;
+
+    fn cli(args: &[&str]) -> Result<Cli, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        Cli::from_args(&args)
+    }
+
+    #[test]
+    fn seed_flag_is_parsed_rejected_or_defaulted() {
+        // A valid seed is used as given.
+        let explicit = cli(&["--smoke", "--seed", "7"]).expect("valid seed");
+        assert_eq!(explicit.seed, 7);
+        assert!(explicit.smoke);
+
+        // A missing or non-numeric seed is an error, not the default.
+        for bad in [&["--seed"][..], &["--seed", "abc"], &["--seed", "-1"]] {
+            let err = cli(bad).expect_err("bad seed must be rejected");
+            assert!(err.contains("--seed"), "{bad:?}: {err}");
         }
+
+        // No flag at all keeps the 2024 default.
+        assert_eq!(cli(&[]).expect("no flags").seed, 2024);
+        assert_eq!(cli(&["--full"]).expect("full").seed, 2024);
     }
 }

@@ -15,8 +15,8 @@
 //!    rebuild cold".
 //! 2. **Determinism.** Encoding the same value always produces the same
 //!    bytes (hash maps are written in sorted key order), so byte equality
-//!    of encodings is value equality — the store's checksums and the bench
-//!    identity assertions rely on this.
+//!    of encodings is value equality — the store's checksums and the
+//!    durability tests' identity assertions rely on this.
 //! 3. **Derived state is rebuilt, not stored.** Interning pools come back
 //!    via [`ValuePool::from_values`], compiled patterns via
 //!    [`CompiledPattern::compile`], feature-set constant caches via

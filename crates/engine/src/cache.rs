@@ -97,7 +97,7 @@ impl CacheStats {
         self.hits() + self.misses
     }
 
-    /// The canonical JSON rendering (shared by the CLI and bench bins).
+    /// The canonical JSON rendering (shared by the CLI and the daemon).
     pub fn to_json(&self) -> crate::json::Json {
         use crate::json::Json;
         Json::obj()

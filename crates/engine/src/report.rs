@@ -121,8 +121,8 @@ impl EngineReport {
     }
 }
 
-/// The canonical JSON rendering of session reuse telemetry (shared by the
-/// CLI and the bench binaries).
+/// The canonical JSON rendering of session reuse telemetry (the CLI's
+/// report JSON).
 pub fn session_stats_json(stats: &SessionStats) -> Json {
     Json::obj()
         .field(

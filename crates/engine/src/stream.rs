@@ -22,14 +22,14 @@
 //! learned artifacts, but a fresh window's content no longer prefix-matches
 //! them, so they only short-circuit exact re-occurrences). Peak allocation
 //! is therefore a function of window + chunk size, independent of how many
-//! total rows flow through — the property `--bin stream` meters and CI
-//! gates on.
+//! total rows flow through — the property the `stream_window_peak` test in
+//! `datavinci-bench` meters and gates on.
 //!
 //! On a *stationary* stream — value distributions that repeat chunk over
 //! chunk, the regime append re-scoring targets — the emitted output is
-//! byte-identical to batch-cleaning the same finite input in one call (the
-//! stream bench asserts this identity; `tests/stream_vs_batch.rs` checks it
-//! differentially, compaction included).
+//! byte-identical to batch-cleaning the same finite input in one call
+//! (`tests/stream_vs_batch.rs` checks it differentially, compaction
+//! included).
 
 use std::time::{Duration, Instant};
 

@@ -23,6 +23,6 @@ pub mod stats;
 pub use generalize::MergeConfig;
 pub use profiler::{
     profile_column, profile_column_pooled, profile_plain, rescore_profile, rescore_profile_pooled,
-    ColumnProfile, LearnedPattern, MaskedPool, MatchEngine, ProfilerConfig,
+    ColumnProfile, LearnedPattern, MaskedPool, ProfilerConfig,
 };
 pub use stats::BuildConfig;

@@ -18,18 +18,22 @@ use crate::stats::{BuildConfig, GroupProfile};
 use datavinci_regex::{AsciiBatch, CompiledPattern, MaskedString, Pattern};
 use datavinci_telemetry as telemetry;
 
-/// Which matcher scores candidate patterns against the column.
-///
-/// Both decide the same language, so profiles are identical either way;
-/// the knob exists so benchmarks and the differential CI step can measure
-/// and verify the fast path against the reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MatchEngine {
-    /// Batch membership on the memoized DFA (the fast path; default).
-    #[default]
-    Dfa,
-    /// Per-value cyclic-NFA simulation (the reference oracle).
-    Nfa,
+#[cfg(test)]
+thread_local! {
+    /// Test-only switch routing coverage scoring through the per-row NFA
+    /// oracle instead of the DFA; see [`with_nfa_oracle`].
+    static NFA_ORACLE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Runs `f` with every coverage score on this thread computed by per-row
+/// cyclic-NFA simulation, the reference the DFA fast path is tested
+/// against. Both decide the same language, so profiles must be identical.
+#[cfg(test)]
+fn with_nfa_oracle<R>(f: impl FnOnce() -> R) -> R {
+    NFA_ORACLE.with(|flag| flag.set(true));
+    let out = f();
+    NFA_ORACLE.with(|flag| flag.set(false));
+    out
 }
 
 /// Profiler configuration (FlashProfile's "default parameters" stand-in).
@@ -43,8 +47,6 @@ pub struct ProfilerConfig {
     pub build: BuildConfig,
     /// Merge cost model.
     pub merge: MergeConfig,
-    /// Matcher used for coverage scoring.
-    pub match_engine: MatchEngine,
 }
 
 impl Default for ProfilerConfig {
@@ -54,7 +56,6 @@ impl Default for ProfilerConfig {
             merge_threshold: 0.2,
             build: BuildConfig::default(),
             merge: MergeConfig::default(),
-            match_engine: MatchEngine::default(),
         }
     }
 }
@@ -216,7 +217,7 @@ pub fn profile_column_pooled(
         }
         seen.push(pattern.clone());
         let compiled = CompiledPattern::compile(pattern.clone());
-        let rows = dedup.member_rows(&compiled, values, cfg.match_engine);
+        let rows = dedup.member_rows(&compiled, values);
         let coverage = rows.len() as f64 / n as f64;
         learned.push(LearnedPattern {
             pattern,
@@ -336,46 +337,34 @@ impl MaskedPool {
         self.distinct.len()
     }
 
-    /// Did the distinct set pack into the contiguous ASCII fast-path
-    /// buffer? (False whenever any value carries a mask token or a
-    /// non-ASCII character.)
-    pub fn ascii_packed(&self) -> bool {
-        self.ascii.is_some()
-    }
-
-    /// Row indices the pattern accepts, via the configured matcher.
+    /// Row indices the pattern accepts.
     ///
-    /// The DFA fast path batches one membership test per distinct value —
-    /// stepping raw bytes when the distinct set packed as ASCII; the NFA
-    /// oracle deliberately stays per-row, so the engines' differential
-    /// comparison also covers the dedup-and-expand and ASCII-packing steps.
-    fn member_rows(
-        &self,
-        compiled: &CompiledPattern,
-        values: &[MaskedString],
-        engine: MatchEngine,
-    ) -> Vec<usize> {
-        match engine {
-            MatchEngine::Dfa => {
-                let hits = match &self.ascii {
-                    Some(batch) => {
-                        telemetry::counter("profile.ascii_batch_values", batch.len() as u64);
-                        compiled.matches_many_ascii(batch)
-                    }
-                    None => compiled.matches_many(&self.distinct),
-                };
-                self.row_to_distinct
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(row, &di)| hits[di].then_some(row))
-                    .collect()
-            }
-            MatchEngine::Nfa => values
+    /// Batches one DFA membership test per distinct value — stepping raw
+    /// bytes when the distinct set packed as ASCII. The test-only NFA
+    /// oracle deliberately stays per-row, so the differential comparison
+    /// also covers the dedup-and-expand and ASCII-packing steps.
+    #[cfg_attr(not(test), allow(unused_variables))]
+    fn member_rows(&self, compiled: &CompiledPattern, values: &[MaskedString]) -> Vec<usize> {
+        #[cfg(test)]
+        if NFA_ORACLE.with(std::cell::Cell::get) {
+            return values
                 .iter()
                 .enumerate()
                 .filter_map(|(row, v)| compiled.matches_nfa(v).then_some(row))
-                .collect(),
+                .collect();
         }
+        let hits = match &self.ascii {
+            Some(batch) => {
+                telemetry::counter("profile.ascii_batch_values", batch.len() as u64);
+                compiled.matches_many_ascii(batch)
+            }
+            None => compiled.matches_many(&self.distinct),
+        };
+        self.row_to_distinct
+            .iter()
+            .enumerate()
+            .filter_map(|(row, &di)| hits[di].then_some(row))
+            .collect()
     }
 }
 
@@ -423,7 +412,7 @@ pub fn rescore_profile_pooled(
             // shares the prior's warm memo tables, so an append-only
             // re-score pays one table lookup per token instead of a fresh
             // NFA walk.
-            let rows = dedup.member_rows(&lp.compiled, values, MatchEngine::Dfa);
+            let rows = dedup.member_rows(&lp.compiled, values);
             let coverage = if n == 0 {
                 0.0
             } else {
@@ -563,13 +552,7 @@ mod tests {
         ];
         for values in &columns {
             let dfa = profile_plain(values, &ProfilerConfig::default());
-            let nfa = profile_plain(
-                values,
-                &ProfilerConfig {
-                    match_engine: MatchEngine::Nfa,
-                    ..ProfilerConfig::default()
-                },
-            );
+            let nfa = with_nfa_oracle(|| profile_plain(values, &ProfilerConfig::default()));
             assert_eq!(dfa.n_values, nfa.n_values);
             assert_eq!(dfa.patterns.len(), nfa.patterns.len(), "{values:?}");
             for (a, b) in dfa.patterns.iter().zip(&nfa.patterns) {

@@ -212,9 +212,9 @@ impl GazetteerLlm {
     /// the column-level aggregates (type support, majority surface forms)
     /// are taken with multiplicity weights, each distinct value is masked
     /// once, and the results expand back to row order. Byte-identical to
-    /// [`GazetteerLlm::mask_column_rowwise`] by construction — the
-    /// aggregates are linear in the rows and the per-value work is a pure
-    /// function of the value.
+    /// the per-row reference (`mask_column_rowwise`, a unit-test oracle) by
+    /// construction — the aggregates are linear in the rows and the
+    /// per-value work is a pure function of the value.
     pub fn mask_column(&self, values: &[String]) -> Vec<String> {
         let pool = crate::intern::intern_values(values);
         // Pass 1 runs once per distinct value, through the hit memo.
@@ -232,9 +232,10 @@ impl GazetteerLlm {
 
     /// The per-row reference implementation of [`GazetteerLlm::mask_column`]:
     /// no interning, no hit memo, every row weighted 1 — the pre-planner
-    /// cost model. The differential suites and the repair benchmark use it
-    /// as the oracle for the distinct-value path.
-    pub fn mask_column_rowwise(&self, values: &[String]) -> Vec<String> {
+    /// cost model. The unit tests use it as the oracle for the
+    /// distinct-value path.
+    #[cfg(test)]
+    fn mask_column_rowwise(&self, values: &[String]) -> Vec<String> {
         let refs: Vec<&str> = values.iter().map(String::as_str).collect();
         let weights = vec![1usize; refs.len()];
         let all_hits: Vec<Vec<(Span, Hit)>> = refs.iter().map(|v| self.value_hits(v)).collect();

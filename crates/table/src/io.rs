@@ -558,9 +558,8 @@ fn unquote_field(raw: &str) -> String {
 }
 
 /// The pre-zero-copy char-at-a-time reader, retained verbatim as the
-/// differential oracle: `tests/csv_roundtrip.rs` and the `hotpath` bench
-/// prove the borrowing scanner byte-identical to it on every input they
-/// generate. Not instrumented — telemetry counts only the live path.
+/// differential oracle: `tests/csv_roundtrip.rs` proves the borrowing
+/// scanner byte-identical to it on every input it generates. Not instrumented — telemetry counts only the live path.
 pub mod reference {
     use super::{split_fields, CsvError, CsvErrorKind, Table};
 
