@@ -28,6 +28,7 @@ use crate::features::FeatureSet;
 use crate::session::AnalysisSession;
 use datavinci_profile::LearnedPattern;
 use datavinci_regex::{AtomId, AtomKey, MaskedString};
+use datavinci_telemetry as telemetry;
 
 /// Training data and learned trees for one significant pattern.
 #[derive(Debug, Default)]
@@ -296,7 +297,7 @@ fn learn_tree(
     let mut weights: Vec<usize> = Vec::new();
     for (row, text) in examples {
         let di = session.distinct_row(*row);
-        let label = label_names.iter().position(|l| l == text).expect("deduped") as u32;
+        let label = label_names.binary_search(text).expect("deduped") as u32;
         match index.entry((di, label)) {
             Entry::Occupied(e) => weights[*e.get()] += 1,
             Entry::Vacant(e) => {
@@ -312,6 +313,7 @@ fn learn_tree(
         .collect();
     let rows: Vec<&[bool]> = vectors.iter().map(|v| &v[..]).collect();
     let labels: Vec<u32> = reps.iter().map(|&(_, label)| label).collect();
+    let _span = telemetry::span("dtree.induce");
     learn_weighted(&rows, &labels, &weights, &cfg.dtree).map(|t| (t, label_names))
 }
 

@@ -8,6 +8,8 @@
 //! trees the ranking prefers, so scanning budgets in ascending order and
 //! keeping the first α-accurate tree reproduces the selection rule.
 
+use datavinci_telemetry as telemetry;
+
 /// Learner configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct DtreeConfig {
@@ -108,6 +110,12 @@ pub fn learn(rows: &[Vec<bool>], labels: &[u32], cfg: &DtreeConfig) -> Option<De
 /// session test suite). Duplicate-heavy columns collapse their per-row
 /// example sets to a handful of weighted vectors and skip the expansion
 /// entirely.
+///
+/// The greedy tree is grown once, to `max_depth` with no leaf budget. A
+/// node's split depends only on its example set, and the budgets only
+/// truncate the tree in depth-first order, so every (depth, leaves) grid
+/// cell is a truncation of the grown tree; its accuracy sums the leaf
+/// histograms' majority counts.
 pub fn learn_weighted(
     rows: &[&[bool]],
     labels: &[u32],
@@ -120,7 +128,8 @@ pub fn learn_weighted(
     // An all-zero-weight input stands for the empty example set: behave
     // exactly like `learn` on the expansion. (Individual zero weights are
     // neutral — they contribute to no histogram, entropy, or accuracy.)
-    if weights.iter().all(|&w| w == 0) {
+    let total: usize = weights.iter().sum();
+    if total == 0 {
         return None;
     }
     let data = Weighted {
@@ -130,19 +139,44 @@ pub fn learn_weighted(
     };
     let n_labels = labels.iter().copied().max().unwrap_or(0) as usize + 1;
     let indices: Vec<usize> = (0..rows.len()).collect();
+    // Each leaf predicts one label, so no tree of at most `max_leaves`
+    // leaves beats the mass of the top `max_leaves` labels: when that is
+    // below α, no grid cell qualifies.
+    let mut counts = label_counts(&data, n_labels, &indices);
+    counts.sort_unstable_by(|a, b| b.cmp(a));
+    let reachable: usize = counts.iter().take(cfg.max_leaves).sum();
+    if (reachable as f64 / total as f64) < cfg.alpha {
+        return None;
+    }
+    telemetry::counter("dtree.builds", 1);
+    let mut grown = Vec::new();
+    grow(&data, n_labels, &indices, cfg.max_depth, &mut grown);
+    smallest_accurate(cfg, |depth, budget| {
+        let mut correct = 0;
+        let tree = truncate(&grown, 0, depth, budget, &mut correct);
+        (tree, correct as f64 / total as f64)
+    })
+}
+
+/// Scans the (depth, leaves) grid in ascending order, keeps every distinct
+/// α-accurate tree `cell(depth, &mut leaf_budget)` returns, and picks the
+/// first smallest by (nodes, depth).
+fn smallest_accurate(
+    cfg: &DtreeConfig,
+    mut cell: impl FnMut(usize, &mut usize) -> (DecisionTree, f64),
+) -> Option<DecisionTree> {
     let mut candidates: Vec<DecisionTree> = Vec::new();
     for depth in 0..=cfg.max_depth {
         for leaves in 1..=cfg.max_leaves {
             let mut budget = leaves;
-            let tree = build(&data, n_labels, &indices, depth, &mut budget);
-            if data.accuracy(&tree) >= cfg.alpha && !candidates.contains(&tree) {
+            let (tree, accuracy) = cell(depth, &mut budget);
+            if accuracy >= cfg.alpha && !candidates.contains(&tree) {
                 candidates.push(tree);
             }
             // Leftover ≥ 2 proves the leaf budget never denied a split
             // (a denial pins the countdown at exactly 1): every larger
-            // budget at this depth builds the exact same tree — skip the
-            // duplicate grid cells (greedy induction is deterministic, so
-            // only a binding budget changes the outcome).
+            // budget at this depth yields the exact same tree — skip the
+            // duplicate grid cells.
             if budget > 1 {
                 break;
             }
@@ -160,22 +194,73 @@ struct Weighted<'a> {
     weights: &'a [usize],
 }
 
-impl Weighted<'_> {
-    /// Weighted training accuracy (correct example weight / total weight).
-    fn accuracy(&self, tree: &DecisionTree) -> f64 {
-        let total: usize = self.weights.iter().sum();
-        if total == 0 {
-            return 1.0;
+/// One node of the tree grown without a leaf budget.
+struct GrownNode {
+    /// The node's majority label.
+    majority: u32,
+    /// Example weight carrying the majority label.
+    correct: usize,
+    /// The winning split: (feature, low child, high child) node indices.
+    split: Option<(usize, usize, usize)>,
+}
+
+/// Grows the greedy tree over `indices` to `depth`, appending nodes in
+/// pre-order; returns the subtree root's index.
+fn grow(
+    data: &Weighted<'_>,
+    n_labels: usize,
+    indices: &[usize],
+    depth: usize,
+    nodes: &mut Vec<GrownNode>,
+) -> usize {
+    let counts = label_counts(data, n_labels, indices);
+    let majority = majority_of_counts(&counts);
+    let id = nodes.len();
+    nodes.push(GrownNode {
+        majority,
+        correct: counts[majority as usize],
+        split: None,
+    });
+    if depth == 0 {
+        return id;
+    }
+    if let Some(feature) = best_split(data, indices, &counts) {
+        let (lo, hi) = partition(data, indices, feature);
+        let low = grow(data, n_labels, &lo, depth - 1, nodes);
+        let high = grow(data, n_labels, &hi, depth - 1, nodes);
+        nodes[id].split = Some((feature, low, high));
+    }
+    id
+}
+
+/// The grid cell's tree: the grown tree cut by the same rules greedy
+/// induction applies under a depth and leaf budget, with the countdown
+/// consumed in the same depth-first order. Adds each leaf's majority
+/// weight to `correct`.
+fn truncate(
+    nodes: &[GrownNode],
+    id: usize,
+    depth_budget: usize,
+    leaf_budget: &mut usize,
+    correct: &mut usize,
+) -> DecisionTree {
+    let node = &nodes[id];
+    match node.split {
+        Some((feature, low, high)) if depth_budget > 0 && *leaf_budget > 1 => {
+            // A split consumes one leaf slot and creates two.
+            *leaf_budget -= 1;
+            let low = truncate(nodes, low, depth_budget - 1, leaf_budget, correct);
+            let high = truncate(nodes, high, depth_budget - 1, leaf_budget, correct);
+            DecisionTree::Split {
+                feature,
+                low: Box::new(low),
+                high: Box::new(high),
+            }
         }
-        let correct: usize = self
-            .rows
-            .iter()
-            .zip(self.labels)
-            .zip(self.weights)
-            .filter(|((r, l), _)| tree.predict(r) == **l)
-            .map(|(_, w)| w)
-            .sum();
-        correct as f64 / total as f64
+        _ => {
+            *correct += node.correct;
+            DecisionTree::Leaf(node.majority)
+        }
     }
 }
 
@@ -218,27 +303,23 @@ fn entropy_of_counts(counts: &[usize], n: usize) -> f64 {
         .sum()
 }
 
-fn build(
-    data: &Weighted<'_>,
-    n_labels: usize,
-    indices: &[usize],
-    depth_budget: usize,
-    leaf_budget: &mut usize,
-) -> DecisionTree {
-    let counts = label_counts(data, n_labels, indices);
-    let pure = counts.iter().filter(|&&c| c > 0).count() <= 1;
+/// The feature with the highest information gain over `indices` (first
+/// wins ties), or `None` when the node is pure, holds fewer than two
+/// examples, or no feature gains. `counts` is the node's label histogram.
+fn best_split(data: &Weighted<'_>, indices: &[usize], counts: &[usize]) -> Option<usize> {
     // `n` is the *example* count (sum of weights): a single distinct vector
     // of weight ≥ 2 must behave exactly like its row-wise expansion.
     let n: usize = counts.iter().sum();
-    if depth_budget == 0 || *leaf_budget <= 1 || pure || n < 2 {
-        return DecisionTree::Leaf(majority_of_counts(&counts));
+    let pure = counts.iter().filter(|&&c| c > 0).count() <= 1;
+    if pure || n < 2 {
+        return None;
     }
     let n_features = data.rows[indices[0]].len();
-    let base = entropy_of_counts(&counts, n);
+    let base = entropy_of_counts(counts, n);
     // Gain scan over count histograms only; the index partition is built
     // once, for the winning feature.
     let mut best: Option<(f64, usize)> = None;
-    let mut hi_counts = vec![0usize; n_labels];
+    let mut hi_counts = vec![0usize; counts.len()];
     #[allow(clippy::needless_range_loop)] // `f` indexes the inner row dim
     for f in 0..n_features {
         hi_counts.iter_mut().for_each(|c| *c = 0);
@@ -265,28 +346,12 @@ fn build(
             best = Some((gain, f));
         }
     }
-    match best {
-        None => DecisionTree::Leaf(majority_of_counts(&counts)),
-        Some((_, feature)) => {
-            let (mut lo, mut hi) = (Vec::new(), Vec::new());
-            for &i in indices {
-                if data.rows[i][feature] {
-                    hi.push(i);
-                } else {
-                    lo.push(i);
-                }
-            }
-            // A split consumes one leaf slot and creates two.
-            *leaf_budget -= 1;
-            let low = build(data, n_labels, &lo, depth_budget - 1, leaf_budget);
-            let high = build(data, n_labels, &hi, depth_budget - 1, leaf_budget);
-            DecisionTree::Split {
-                feature,
-                low: Box::new(low),
-                high: Box::new(high),
-            }
-        }
-    }
+    best.map(|(_, feature)| feature)
+}
+
+/// Splits `indices` by `feature`: (false side, true side).
+fn partition(data: &Weighted<'_>, indices: &[usize], feature: usize) -> (Vec<usize>, Vec<usize>) {
+    indices.iter().partition(|&&i| !data.rows[i][feature])
 }
 
 #[cfg(test)]
@@ -295,6 +360,110 @@ mod tests {
 
     fn cfg() -> DtreeConfig {
         DtreeConfig::default()
+    }
+
+    /// The per-cell learner [`learn_weighted`] replaced: a fresh greedy
+    /// [`build`] for every grid cell, scored by prediction. The oracle the
+    /// grown-and-truncated learner is proven against.
+    fn learn_weighted_oracle(
+        rows: &[&[bool]],
+        labels: &[u32],
+        weights: &[usize],
+        cfg: &DtreeConfig,
+    ) -> Option<DecisionTree> {
+        if rows.is_empty() || rows.len() != labels.len() || rows.len() != weights.len() {
+            return None;
+        }
+        if weights.iter().all(|&w| w == 0) {
+            return None;
+        }
+        let data = Weighted {
+            rows,
+            labels,
+            weights,
+        };
+        let n_labels = labels.iter().copied().max().unwrap_or(0) as usize + 1;
+        let indices: Vec<usize> = (0..rows.len()).collect();
+        smallest_accurate(cfg, |depth, budget| {
+            let tree = build(&data, n_labels, &indices, depth, budget);
+            let accuracy = weighted_accuracy(&data, &tree);
+            (tree, accuracy)
+        })
+    }
+
+    /// Greedy induction under a depth and a leaf budget.
+    fn build(
+        data: &Weighted<'_>,
+        n_labels: usize,
+        indices: &[usize],
+        depth_budget: usize,
+        leaf_budget: &mut usize,
+    ) -> DecisionTree {
+        let counts = label_counts(data, n_labels, indices);
+        let split = (depth_budget > 0 && *leaf_budget > 1)
+            .then(|| best_split(data, indices, &counts))
+            .flatten();
+        let Some(feature) = split else {
+            return DecisionTree::Leaf(majority_of_counts(&counts));
+        };
+        let (lo, hi) = partition(data, indices, feature);
+        // A split consumes one leaf slot and creates two.
+        *leaf_budget -= 1;
+        let low = build(data, n_labels, &lo, depth_budget - 1, leaf_budget);
+        let high = build(data, n_labels, &hi, depth_budget - 1, leaf_budget);
+        DecisionTree::Split {
+            feature,
+            low: Box::new(low),
+            high: Box::new(high),
+        }
+    }
+
+    /// Weighted training accuracy (correct example weight / total weight).
+    fn weighted_accuracy(data: &Weighted<'_>, tree: &DecisionTree) -> f64 {
+        let total: usize = data.weights.iter().sum();
+        let correct: usize = data
+            .rows
+            .iter()
+            .zip(data.labels)
+            .zip(data.weights)
+            .filter(|((r, l), _)| tree.predict(r) == **l)
+            .map(|(_, w)| w)
+            .sum();
+        correct as f64 / total as f64
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        /// Growing once and truncating per grid cell (plus the
+        /// top-label-mass early exit) picks exactly the tree the per-cell
+        /// learner picks.
+        #[test]
+        fn grown_and_truncated_equals_per_cell_builds(
+            examples in proptest::collection::vec((0u32..4096, 0u32..6, 0usize..4), 1..24),
+            n_features in 1usize..13,
+            n_labels in 2u32..7,
+            alpha_pct in 50u32..101,
+            max_depth in 0usize..5,
+            max_leaves in 1usize..11,
+        ) {
+            let vectors: Vec<Vec<bool>> = examples
+                .iter()
+                .map(|&(bits, _, _)| (0..n_features).map(|f| bits >> f & 1 == 1).collect())
+                .collect();
+            let rows: Vec<&[bool]> = vectors.iter().map(Vec::as_slice).collect();
+            let labels: Vec<u32> = examples.iter().map(|&(_, l, _)| l % n_labels).collect();
+            let weights: Vec<usize> = examples.iter().map(|&(_, _, w)| w).collect();
+            let cfg = DtreeConfig {
+                alpha: f64::from(alpha_pct) / 100.0,
+                max_depth,
+                max_leaves,
+            };
+            proptest::prop_assert_eq!(
+                learn_weighted(&rows, &labels, &weights, &cfg),
+                learn_weighted_oracle(&rows, &labels, &weights, &cfg)
+            );
+        }
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub use exec_guided::ExecGuidedReport;
 pub use features::{FeatureSet, Predicate, RenderedTable};
 pub use persist::PersistError;
 pub use pipeline::{ColumnAnalysis, ColumnReport, DataVinci, TableReport};
-pub use ranker::{CandidateProperties, RankerWeights};
+pub use ranker::{CandidateProperties, ClosestValues, RankerWeights};
 pub use repair_dp::minimal_edit_program;
 pub use repair_plan::{RepairGroup, RepairPlan};
 pub use session::{AnalysisSession, SessionResumeError, SessionSnapshot, SessionStats};

@@ -17,7 +17,7 @@ use std::sync::Arc;
 use crate::concretize::Concretizer;
 use crate::config::{DataVinciConfig, RankingMode, RepairStrategy, SemanticMode};
 use crate::edit::AbstractRepair;
-use crate::ranker::CandidateProperties;
+use crate::ranker::{CandidateProperties, ClosestValues};
 use crate::repair_dp::minimal_edit_program;
 use crate::repair_plan::RepairPlan;
 use crate::session::AnalysisSession;
@@ -466,13 +466,13 @@ impl DataVinci {
         }
     }
 
-    /// The report skeleton plus the trained concretizer and borrowed clean
-    /// values — the prologue both repair strategies share.
+    /// The report skeleton plus the trained concretizer and the clean-value
+    /// index — the prologue both repair strategies share.
     fn repair_prologue<'s, 't>(
         &'s self,
         session: &'s AnalysisSession<'t>,
         analysis: &'s ColumnAnalysis,
-    ) -> (ColumnReport, Vec<&'s str>, Concretizer<'s, 't>) {
+    ) -> (ColumnReport, ClosestValues<'s>, Concretizer<'s, 't>) {
         let values = &analysis.values;
         let report = ColumnReport {
             col: analysis.col,
@@ -484,10 +484,11 @@ impl DataVinci {
 
         // Non-error values, for the ranker's closest-value property
         // (`error_rows` is sorted; borrow instead of cloning each value).
-        let clean_values: Vec<&str> = (0..values.len())
-            .filter(|r| analysis.error_rows.binary_search(r).is_err())
-            .map(|r| values[r].as_str())
-            .collect();
+        let clean_values = ClosestValues::new(
+            (0..values.len())
+                .filter(|r| analysis.error_rows.binary_search(r).is_err())
+                .map(|r| values[r].as_str()),
+        );
 
         let mut concretizer = Concretizer::new(session, &self.cfg);
         for &pi in &analysis.significant {
@@ -749,7 +750,7 @@ impl DataVinci {
         analysis: &ColumnAnalysis,
         concretizer: &mut Concretizer<'_, '_>,
         row: usize,
-        clean_values: &[&str],
+        clean_values: &ClosestValues<'_>,
     ) -> Vec<RepairCandidate> {
         let original = analysis.values[row].as_str();
         let value = &analysis.masked[row];

@@ -338,13 +338,19 @@ impl<'a> Parser<'a> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("unescaped control character")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so byte
-                    // boundaries are valid by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).expect("input was a str");
-                    let c = s.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote, backslash or
+                    // control byte. UTF-8 continuation bytes are never
+                    // ASCII, so the run ends on a char boundary of the
+                    // input `&str` and each byte is validated once.
+                    let start = self.pos;
+                    while self
+                        .peek()
+                        .is_some_and(|c| c != b'"' && c != b'\\' && c >= 0x20)
+                    {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos]);
+                    out.push_str(run.expect("input was a str"));
                 }
             }
         }
@@ -495,6 +501,23 @@ mod tests {
         // Deep nesting is bounded, not a stack overflow.
         let deep = "[".repeat(500) + &"]".repeat(500);
         assert!(Json::parse(&deep).is_err());
+    }
+
+    #[test]
+    fn parse_is_linear_in_string_length() {
+        // A 1.2 MB request line: re-validating the rest of the buffer per
+        // character takes minutes at this size; one pass, milliseconds.
+        let text = "Nevada_210 é漢 \u{1F600}\"q\"\\ ".repeat(40_000);
+        let doc = Json::obj().field("csv", Json::str(&text)).render();
+        assert!(doc.len() > 1_000_000);
+        let started = std::time::Instant::now();
+        let parsed = Json::parse(&doc).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(
+            parsed.get("csv").and_then(Json::as_str),
+            Some(text.as_str())
+        );
+        assert!(elapsed.as_secs_f64() < 2.0, "parse took {elapsed:?}");
     }
 
     #[test]

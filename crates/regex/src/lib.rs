@@ -34,6 +34,6 @@ pub use class::CharClass;
 pub use dag::{Dag, DagEdge, DagLabel};
 pub use dfa::AsciiBatch;
 pub use display::render;
-pub use edit_distance::{levenshtein, levenshtein_toks, levenshtein_within};
+pub use edit_distance::{levenshtein, levenshtein_toks, levenshtein_within, BandedLevenshtein};
 pub use matcher::{Binding, Bindings, CompiledPattern};
 pub use token::{MaskAlphabet, MaskId, MaskedString, Tok};

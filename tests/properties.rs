@@ -34,6 +34,26 @@ fn arb_pattern() -> impl Strategy<Value = Pattern> {
     })
 }
 
+/// Applies (kind, position, char) edits to `s`: 0 substitutes, 1 inserts,
+/// 2 deletes; positions wrap modulo the current length.
+fn apply_edits(s: &str, edits: &[(usize, usize, String)]) -> String {
+    let mut chars: Vec<char> = s.chars().collect();
+    for (kind, pos, text) in edits {
+        let c = text.chars().next().expect("one char");
+        match kind {
+            0 if !chars.is_empty() => {
+                let at = pos % chars.len();
+                chars[at] = c;
+            }
+            2 if !chars.is_empty() => {
+                chars.remove(pos % chars.len());
+            }
+            _ => chars.insert(pos % (chars.len() + 1), c),
+        }
+    }
+    chars.into_iter().collect()
+}
+
 /// Generates a string the pattern accepts, by sampling a derivation.
 fn sample_member(pattern: &Pattern, picks: &mut impl Iterator<Item = usize>) -> String {
     let mut pick = |n: usize| picks.next().unwrap_or(0) % n.max(1);
@@ -145,16 +165,21 @@ proptest! {
     }
 
     /// Band-edge differential: the banded variant must agree with the
-    /// exact distance when the bound sits just below, exactly at, and just
-    /// above the true distance — the off-by-one regime a too-narrow band
-    /// would corrupt — including multibyte UTF-8 and empty strings.
+    /// exact distance at every bound from 0 to the distance + 2 — the
+    /// off-by-one regime a too-narrow band, or a stale cell just outside
+    /// it, would corrupt — on multibyte UTF-8 strings of up to 200 chars,
+    /// including empty ones. Half the cases compare a string with a few
+    /// random edits of itself, so the band is narrow next to the length.
     #[test]
     fn banded_levenshtein_is_exact_at_the_band_edge(
-        a in "[abé漢]{0,8}",
-        b in "[abé漢]{0,8}",
+        a in "[abé漢]{0,200}",
+        other in "[abé漢]{0,200}",
+        edits in prop::collection::vec((0usize..3, 0usize..200, "[abé漢]{1}"), 0..12),
+        mutate in 0usize..2,
     ) {
+        let b = if mutate == 1 { apply_edits(&a, &edits) } else { other };
         let exact = levenshtein(&a, &b);
-        for bound in [exact.saturating_sub(1), exact, exact + 1] {
+        for bound in 0..=exact + 2 {
             match levenshtein_within(&a, &b, bound) {
                 Some(d) => {
                     prop_assert!(d <= bound, "reported {d} above bound {bound}");
