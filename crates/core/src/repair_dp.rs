@@ -54,11 +54,6 @@ pub fn minimal_edit_program(dag: &Dag, value: &MaskedString) -> Option<EditProgr
     let nn = dag.n_nodes;
     let idx = |i: usize, u: usize| i * nn + u;
 
-    let mut out_edges: Vec<Vec<usize>> = vec![Vec::new(); nn];
-    for (ei, e) in dag.edges.iter().enumerate() {
-        out_edges[e.from].push(ei);
-    }
-
     let mut cost = vec![INF; (n + 1) * nn];
     // Tie-break: among equal-cost paths prefer the one keeping more of the
     // original tokens (more Match actions) — e.g. `837 → 837-PRO` over
@@ -93,7 +88,7 @@ pub fn minimal_edit_program(dag: &Dag, value: &MaskedString) -> Option<EditProgr
             if c >= INF {
                 continue;
             }
-            for &ei in &out_edges[u] {
+            for &ei in &dag.out_edges[u] {
                 let v = dag.edges[ei].to;
                 relax!(i, u, i, v, c + 1, k, PKind::Ins, ei, 0);
             }
@@ -109,7 +104,7 @@ pub fn minimal_edit_program(dag: &Dag, value: &MaskedString) -> Option<EditProgr
             }
             // Delete the current token.
             relax!(i, u, i + 1, u, c + 1, k, PKind::Del, 0, 0);
-            for &ei in &out_edges[u] {
+            for &ei in &dag.out_edges[u] {
                 let e = &dag.edges[ei];
                 match &e.label {
                     DagLabel::Disj(d, _) => {

@@ -71,6 +71,80 @@ enum Step {
     GapB, // consume from b only
 }
 
+/// The alignment DP shared by [`merge_cost`] and [`try_merge`]: fills the
+/// `(n+1)×(m+1)` table of `a`'s unit against `b`'s into the flat row-major
+/// buffer `dp` and returns the normalized total cost, or `None` when
+/// alignment is impossible. `on_relax(cell, step)` sees every improving
+/// relaxation, so the last call for a cell names its winning step;
+/// cost-only callers pass a no-op, which compiles the bookkeeping away.
+fn align(
+    a: &GroupProfile,
+    b: &GroupProfile,
+    cfg: &MergeConfig,
+    dp: &mut Vec<f64>,
+    mut on_relax: impl FnMut(usize, Step),
+) -> Option<f64> {
+    let (ua, ub) = (&a.unit, &b.unit);
+    let (n, m) = (ua.len(), ub.len());
+    if n == 0 || m == 0 {
+        return None; // the empty-string group never merges
+    }
+    let w = m + 1;
+    dp.clear();
+    dp.resize((n + 1) * w, f64::INFINITY);
+    dp[0] = 0.0;
+    for i in 0..=n {
+        for j in 0..=m {
+            let here = dp[i * w + j];
+            if here.is_infinite() {
+                continue;
+            }
+            if i < n && j < m {
+                if let Some(c) = match_cost(&ua[i], &ub[j], cfg) {
+                    let t = (i + 1) * w + j + 1;
+                    if here + c < dp[t] {
+                        dp[t] = here + c;
+                        on_relax(t, Step::Match);
+                    }
+                }
+            }
+            if i < n {
+                let t = (i + 1) * w + j;
+                let c = gap_cost(&ua[i], cfg);
+                if here + c < dp[t] {
+                    dp[t] = here + c;
+                    on_relax(t, Step::GapA);
+                }
+            }
+            if j < m {
+                let t = i * w + j + 1;
+                let c = gap_cost(&ub[j], cfg);
+                if here + c < dp[t] {
+                    dp[t] = here + c;
+                    on_relax(t, Step::GapB);
+                }
+            }
+        }
+    }
+    let total = dp[n * w + m];
+    if total.is_infinite() {
+        return None;
+    }
+    Some(total / n.max(m) as f64)
+}
+
+/// The normalized alignment cost [`try_merge`] reports for `a` and `b`, bit
+/// for bit, without building the merged profile; `None` when alignment is
+/// impossible. `dp` is scratch space reused across calls.
+pub(crate) fn merge_cost(
+    a: &GroupProfile,
+    b: &GroupProfile,
+    cfg: &MergeConfig,
+    dp: &mut Vec<f64>,
+) -> Option<f64> {
+    align(a, b, cfg, dp, |_, _| {})
+}
+
 /// Attempts to merge two groups. Returns the *normalized* alignment cost and
 /// the merged profile; `None` when alignment is impossible.
 pub fn try_merge(
@@ -80,53 +154,15 @@ pub fn try_merge(
 ) -> Option<(f64, GroupProfile)> {
     let (ua, ub) = (&a.unit, &b.unit);
     let (n, m) = (ua.len(), ub.len());
-    if n == 0 || m == 0 {
-        return None; // the empty-string group never merges
-    }
-    const INF: f64 = f64::INFINITY;
-    let mut dp = vec![vec![INF; m + 1]; n + 1];
-    let mut step = vec![vec![Step::Match; m + 1]; n + 1];
-    dp[0][0] = 0.0;
-    for i in 0..=n {
-        for j in 0..=m {
-            if dp[i][j].is_infinite() {
-                continue;
-            }
-            if i < n && j < m {
-                if let Some(c) = match_cost(&ua[i], &ub[j], cfg) {
-                    if dp[i][j] + c < dp[i + 1][j + 1] {
-                        dp[i + 1][j + 1] = dp[i][j] + c;
-                        step[i + 1][j + 1] = Step::Match;
-                    }
-                }
-            }
-            if i < n {
-                let c = gap_cost(&ua[i], cfg);
-                if dp[i][j] + c < dp[i + 1][j] {
-                    dp[i + 1][j] = dp[i][j] + c;
-                    step[i + 1][j] = Step::GapA;
-                }
-            }
-            if j < m {
-                let c = gap_cost(&ub[j], cfg);
-                if dp[i][j] + c < dp[i][j + 1] {
-                    dp[i][j + 1] = dp[i][j] + c;
-                    step[i][j + 1] = Step::GapB;
-                }
-            }
-        }
-    }
-    let total = dp[n][m];
-    if total.is_infinite() {
-        return None;
-    }
-    let normalized = total / n.max(m) as f64;
+    let w = m + 1;
+    let mut step = vec![Step::Match; (n + 1) * w];
+    let normalized = align(a, b, cfg, &mut Vec::new(), |t, s| step[t] = s)?;
 
     // Reconstruct the merged unit.
     let mut merged_rev: Vec<PosStat> = Vec::new();
     let (mut i, mut j) = (n, m);
     while i > 0 || j > 0 {
-        match step[i][j] {
+        match step[i * w + j] {
             Step::Match if i > 0 && j > 0 => {
                 let mut s = ua[i - 1].clone();
                 s.absorb(&ub[j - 1]);
@@ -166,11 +202,58 @@ pub fn try_merge(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::atom::{signature, smallest_period, tokenize};
+    use crate::profiler::{group_by_shape, MaskedPool};
     use crate::stats::BuildConfig;
-    use datavinci_regex::{CompiledPattern, MaskedString};
+    use datavinci_regex::{CompiledPattern, MaskId, MaskedString, Tok};
+
+    /// Tokens generated values draw from: both digit classes, both letter
+    /// cases, a space, three symbols and two masks.
+    const ALPHABET: [Tok; 11] = [
+        Tok::Char('0'),
+        Tok::Char('7'),
+        Tok::Char('a'),
+        Tok::Char('Q'),
+        Tok::Char('z'),
+        Tok::Char(' '),
+        Tok::Char('-'),
+        Tok::Char('.'),
+        Tok::Char('_'),
+        Tok::Mask(MaskId(0)),
+        Tok::Mask(MaskId(1)),
+    ];
+
+    /// A value strategy for property tests: a unit of up to three
+    /// [`ALPHABET`] tokens repeated 1–3 times, so periods > 1 and the empty
+    /// value both occur.
+    pub(crate) fn value_strategy() -> impl proptest::strategy::Strategy<Value = (Vec<usize>, usize)>
+    {
+        (
+            proptest::collection::vec(0..ALPHABET.len(), 0..4),
+            1usize..4,
+        )
+    }
+
+    /// The value a [`value_strategy`] draw stands for.
+    pub(crate) fn generated_value((unit, reps): &(Vec<usize>, usize)) -> MaskedString {
+        let toks = unit.iter().map(|&t| ALPHABET[t]);
+        MaskedString::from_toks(toks.cycle().take(unit.len() * reps).collect())
+    }
+
+    /// A cost model on a coarse grid (multiples of 0.2), so distinct pairs
+    /// often tie.
+    pub(crate) fn coarse_config(steps: &[u32]) -> MergeConfig {
+        let at = |i: usize| f64::from(steps[i]) / 5.0;
+        MergeConfig {
+            class_widen_cost: at(0),
+            class_mismatch_cost: at(1),
+            gap_class_cost: at(2),
+            gap_sym_cost: at(3),
+            gap_mask_cost: at(4),
+        }
+    }
 
     fn group_at(values: &[&str], base: usize) -> GroupProfile {
         let mut g: Option<GroupProfile> = None;
@@ -269,5 +352,38 @@ mod tests {
         let a = group(&[""]);
         let b = group(&["x"]);
         assert!(try_merge(&a, &b, &MergeConfig::default()).is_none());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// The cost-only DP reports exactly the cost `try_merge` reports,
+        /// for generated groups and for groups merged from them (which
+        /// carry optional positions), in both orientations.
+        #[test]
+        fn merge_cost_equals_try_merge_cost(
+            draws in proptest::collection::vec(value_strategy(), 1..10),
+            steps in proptest::collection::vec(1u32..6, 5..6),
+        ) {
+            let values: Vec<MaskedString> = draws.iter().map(generated_value).collect();
+            let mut groups = group_by_shape(&values, &MaskedPool::new(&values));
+            let merged: Vec<GroupProfile> = groups
+                .windows(2)
+                .filter_map(|w| try_merge(&w[0], &w[1], &MergeConfig::default()))
+                .map(|(_, g)| g)
+                .collect();
+            groups.extend(merged);
+            let mut dp = Vec::new();
+            for cfg in [MergeConfig::default(), coarse_config(&steps)] {
+                for a in &groups {
+                    for b in &groups {
+                        proptest::prop_assert_eq!(
+                            merge_cost(a, b, &cfg, &mut dp).map(f64::to_bits),
+                            try_merge(a, b, &cfg).map(|(c, _)| c.to_bits())
+                        );
+                    }
+                }
+            }
+        }
     }
 }

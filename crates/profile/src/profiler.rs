@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 
 use crate::atom::{signature, smallest_period, tokenize, Atom, AtomKind};
-use crate::generalize::{try_merge, MergeConfig};
+use crate::generalize::{merge_cost, try_merge, MergeConfig};
 use crate::stats::{BuildConfig, GroupProfile};
 use datavinci_regex::{AsciiBatch, CompiledPattern, MaskedString, Pattern};
 use datavinci_telemetry as telemetry;
@@ -151,10 +151,66 @@ pub fn profile_column_pooled(
         }
     }
 
-    // 1. Tokenize + period-collapse once per *distinct* value; rows are
-    // still grouped (and group stats absorbed) in row order, so the result
-    // is byte-identical to tokenizing every row — duplicates just reuse
-    // their distinct value's atoms.
+    // 1. Group values by unit signature.
+    let groups = {
+        let _span = telemetry::span("profile.group");
+        group_by_shape(values, dedup)
+    };
+    // 2. Greedy agglomerative merging under the threshold.
+    let (groups, merge_counts) = {
+        let _span = telemetry::span("profile.merge");
+        merge_groups(groups, cfg)
+    };
+
+    // 3. Build patterns and re-evaluate true coverage over the whole
+    // column: one batch match per candidate per *distinct* value (the DFA
+    // memoizes transitions across the entire column instead of re-walking
+    // the NFA per value, and duplicate rows share one membership verdict).
+    let learned = {
+        let _span = telemetry::span("profile.score");
+        let mut learned: Vec<LearnedPattern> = Vec::with_capacity(groups.len() + 1);
+        let mut seen: Vec<Pattern> = Vec::new();
+        let built: Vec<Pattern> = categorical
+            .into_iter()
+            .chain(groups.iter().map(|g| g.build_pattern(&cfg.build)))
+            .collect();
+        for pattern in built {
+            if seen.contains(&pattern) {
+                continue;
+            }
+            seen.push(pattern.clone());
+            let compiled = CompiledPattern::compile(pattern.clone());
+            let rows = dedup.member_rows(&compiled, values);
+            let coverage = rows.len() as f64 / n as f64;
+            learned.push(LearnedPattern {
+                pattern,
+                compiled,
+                rows,
+                coverage,
+            });
+        }
+        sort_by_coverage(&mut learned);
+        learned.truncate(cfg.max_patterns);
+        learned
+    };
+
+    let profile = ColumnProfile {
+        patterns: learned,
+        n_values: n,
+    };
+    record_profile_telemetry(&profile, dedup, "profile.columns_profiled");
+    telemetry::counter("profile.merge_rounds", merge_counts.rounds);
+    telemetry::counter("profile.merge_cost_dps", merge_counts.cost_dps);
+    profile
+}
+
+/// One group per unit signature, biggest first (ties by first row).
+///
+/// Tokenizes and period-collapses once per *distinct* value; rows are still
+/// grouped (and group stats absorbed) in row order, so the result is
+/// byte-identical to tokenizing every row — duplicates just reuse their
+/// distinct value's atoms.
+pub(crate) fn group_by_shape(values: &[MaskedString], dedup: &MaskedPool) -> Vec<GroupProfile> {
     let mut shapes: Vec<Option<DistinctShape>> = (0..dedup.n_distinct()).map(|_| None).collect();
     let mut groups: HashMap<Vec<AtomKind>, GroupProfile> = HashMap::new();
     for (row, value) in values.iter().enumerate() {
@@ -176,65 +232,79 @@ pub fn profile_column_pooled(
         }
     }
     let mut groups: Vec<GroupProfile> = groups.into_values().collect();
-    // Deterministic order: biggest groups first, ties by first row.
     groups.sort_by_key(|g| (std::cmp::Reverse(g.rows.len()), g.rows.first().copied()));
+    groups
+}
 
-    // 2. Greedy agglomerative merging under the threshold.
+/// Work done by one column's merge loop, recorded once per column.
+#[derive(Debug, Clone, Copy)]
+struct MergeCounts {
+    /// Merges applied.
+    rounds: u64,
+    /// Cost-only alignment DPs run ([`merge_cost`] calls).
+    cost_dps: u64,
+}
+
+/// Greedy agglomerative merging: each round merges the cheapest pair whose
+/// normalized cost is at most `cfg.merge_threshold` (ties go to the first
+/// pair in `(i, j)` order); the merged group takes `i`'s place and `j`
+/// leaves the list.
+///
+/// A pair's cost depends only on its two groups, so costs are computed once
+/// into an upper-triangular matrix and a round recomputes only the merged
+/// group's pairs — O(G²) cost-only DPs over the loop instead of one per pair
+/// per round — and only the winning merge is materialized by [`try_merge`].
+/// Groups keep their initial slot indices (a removed group's slot goes
+/// dead), so slot order is list order and each round picks the pair a full
+/// rescan of the shrinking list would pick.
+fn merge_groups(
+    groups: Vec<GroupProfile>,
+    cfg: &ProfilerConfig,
+) -> (Vec<GroupProfile>, MergeCounts) {
+    let g = groups.len();
+    // Pair (i, j), i < j, lives at j(j−1)/2 + i.
+    let tri = |i: usize, j: usize| j * (j - 1) / 2 + i;
+    let mut dp: Vec<f64> = Vec::new();
+    let mut cost: Vec<Option<f64>> = Vec::with_capacity(g * g.saturating_sub(1) / 2);
+    for j in 0..g {
+        for i in 0..j {
+            cost.push(merge_cost(&groups[i], &groups[j], &cfg.merge, &mut dp));
+        }
+    }
+    let mut counts = MergeCounts {
+        rounds: 0,
+        cost_dps: cost.len() as u64,
+    };
+    let mut slots: Vec<Option<GroupProfile>> = groups.into_iter().map(Some).collect();
+    let mut live: Vec<usize> = (0..g).collect();
     loop {
-        let mut best: Option<(f64, usize, usize, GroupProfile)> = None;
-        for i in 0..groups.len() {
-            for j in (i + 1)..groups.len() {
-                if let Some((cost, merged)) = try_merge(&groups[i], &groups[j], &cfg.merge) {
-                    if cost <= cfg.merge_threshold && best.as_ref().is_none_or(|(c, ..)| cost < *c)
-                    {
-                        best = Some((cost, i, j, merged));
+        let mut best: Option<(f64, usize, usize)> = None;
+        for (a, &i) in live.iter().enumerate() {
+            for &j in &live[a + 1..] {
+                if let Some(c) = cost[tri(i, j)] {
+                    if c <= cfg.merge_threshold && best.is_none_or(|(b, ..)| c < b) {
+                        best = Some((c, i, j));
                     }
                 }
             }
         }
-        match best {
-            Some((_, i, j, merged)) => {
-                groups.remove(j);
-                groups[i] = merged;
-            }
-            None => break,
+        let Some((c, i, j)) = best else { break };
+        let removed = slots[j].take().expect("live slot");
+        let kept = slots[i].as_ref().expect("live slot");
+        let (merged_cost, merged) =
+            try_merge(kept, &removed, &cfg.merge).expect("a cached cost implies alignment");
+        debug_assert_eq!(merged_cost.to_bits(), c.to_bits());
+        slots[i] = Some(merged);
+        live.retain(|&k| k != j);
+        counts.rounds += 1;
+        let group = |s: usize| slots[s].as_ref().expect("live slot");
+        for &k in live.iter().filter(|&&k| k != i) {
+            let (lo, hi) = (k.min(i), k.max(i));
+            cost[tri(lo, hi)] = merge_cost(group(lo), group(hi), &cfg.merge, &mut dp);
+            counts.cost_dps += 1;
         }
     }
-
-    // 3. Build patterns and re-evaluate true coverage over the whole
-    // column: one batch match per candidate per *distinct* value (the DFA
-    // memoizes transitions across the entire column instead of re-walking
-    // the NFA per value, and duplicate rows share one membership verdict).
-    let mut learned: Vec<LearnedPattern> = Vec::with_capacity(groups.len() + 1);
-    let mut seen: Vec<Pattern> = Vec::new();
-    let built: Vec<Pattern> = categorical
-        .into_iter()
-        .chain(groups.iter().map(|g| g.build_pattern(&cfg.build)))
-        .collect();
-    for pattern in built {
-        if seen.contains(&pattern) {
-            continue;
-        }
-        seen.push(pattern.clone());
-        let compiled = CompiledPattern::compile(pattern.clone());
-        let rows = dedup.member_rows(&compiled, values);
-        let coverage = rows.len() as f64 / n as f64;
-        learned.push(LearnedPattern {
-            pattern,
-            compiled,
-            rows,
-            coverage,
-        });
-    }
-    sort_by_coverage(&mut learned);
-    learned.truncate(cfg.max_patterns);
-
-    let profile = ColumnProfile {
-        patterns: learned,
-        n_values: n,
-    };
-    record_profile_telemetry(&profile, dedup, "profile.columns_profiled");
-    profile
+    (slots.into_iter().flatten().collect(), counts)
 }
 
 /// Records pattern-learning counters into the active telemetry collector,
@@ -447,9 +517,129 @@ pub fn profile_plain<S: AsRef<str>>(values: &[S], cfg: &ProfilerConfig) -> Colum
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generalize::tests::{coarse_config, generated_value, value_strategy};
 
     fn profile(values: &[&str]) -> ColumnProfile {
         profile_plain(values, &ProfilerConfig::default())
+    }
+
+    /// The merge loop [`merge_groups`] replaced: every round materializes a
+    /// [`try_merge`] for every pair and keeps the cheapest within the
+    /// threshold. Returns the merged groups and the `try_merge` call count.
+    fn merge_groups_oracle(
+        mut groups: Vec<GroupProfile>,
+        cfg: &ProfilerConfig,
+    ) -> (Vec<GroupProfile>, u64) {
+        let mut calls = 0u64;
+        loop {
+            let mut best: Option<(f64, usize, usize, GroupProfile)> = None;
+            for i in 0..groups.len() {
+                for j in (i + 1)..groups.len() {
+                    calls += 1;
+                    if let Some((cost, merged)) = try_merge(&groups[i], &groups[j], &cfg.merge) {
+                        if cost <= cfg.merge_threshold
+                            && best.as_ref().is_none_or(|(c, ..)| cost < *c)
+                        {
+                            best = Some((cost, i, j, merged));
+                        }
+                    }
+                }
+            }
+            match best {
+                Some((_, i, j, merged)) => {
+                    groups.remove(j);
+                    groups[i] = merged;
+                }
+                None => break,
+            }
+        }
+        (groups, calls)
+    }
+
+    /// Runs both merge loops over the groups of `values` and asserts they
+    /// agree group for group; returns `(cost DPs, oracle try_merge calls)`.
+    fn assert_merge_loops_agree(values: &[MaskedString], cfg: &ProfilerConfig) -> (u64, u64) {
+        let groups = group_by_shape(values, &MaskedPool::new(values));
+        let n_groups = groups.len() as u64;
+        let (fast, counts) = merge_groups(groups.clone(), cfg);
+        let (oracle, calls) = merge_groups_oracle(groups, cfg);
+        let canon = |gs: &[GroupProfile]| {
+            gs.iter()
+                .map(|g| {
+                    (
+                        g.build_pattern(&cfg.build),
+                        g.rows.clone(),
+                        g.min_reps,
+                        g.max_reps,
+                    )
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(canon(&fast), canon(&oracle));
+        // Everything else a group carries (pooled texts, lengths, optional
+        // flags) must match too.
+        assert_eq!(format!("{fast:?}"), format!("{oracle:?}"));
+        assert_eq!(counts.rounds, n_groups - fast.len() as u64);
+        assert_eq!(calls, oracle_try_merge_calls(n_groups, counts.rounds));
+        (counts.cost_dps, calls)
+    }
+
+    /// `try_merge` calls the oracle makes on `groups` initial groups over
+    /// `rounds` merges: one per pair of the shrinking list, on every round
+    /// plus the final round that finds nothing to merge.
+    fn oracle_try_merge_calls(groups: u64, rounds: u64) -> u64 {
+        (0..=rounds)
+            .map(|r| groups - r)
+            .map(|l| l * l.saturating_sub(1) / 2)
+            .sum()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// The cached cost scan that materializes only each round's winner
+        /// merges exactly the groups the all-pairs materializing loop does,
+        /// on the default cost model and on a coarse one where ties are
+        /// common, under thresholds from "never merge" to "merge nearly
+        /// everything".
+        #[test]
+        fn cached_cost_scan_equals_materializing_loop(
+            draws in proptest::collection::vec(value_strategy(), 1..16),
+            steps in proptest::collection::vec(1u32..6, 5..6),
+            threshold_pct in 0u32..90,
+        ) {
+            let values: Vec<MaskedString> = draws.iter().map(generated_value).collect();
+            for merge in [MergeConfig::default(), coarse_config(&steps)] {
+                let cfg = ProfilerConfig {
+                    merge_threshold: f64::from(threshold_pct) / 100.0,
+                    merge,
+                    ..ProfilerConfig::default()
+                };
+                let (dps, calls) = assert_merge_loops_agree(&values, &cfg);
+                proptest::prop_assert!(dps <= calls, "{dps} cost DPs > {calls} try_merge calls");
+            }
+        }
+    }
+
+    #[test]
+    fn tied_merge_costs_pick_the_first_pair_like_the_oracle() {
+        // `a1`–`Q1` and `Q1`–`Qa` both cost 0.4 / 2 (one Lower/Upper or
+        // Lower/digit mismatch), exactly the threshold. Whichever merges
+        // first absorbs `Q1`, so the tie-break decides the result: the
+        // first pair in (i, j) order must win, as in the oracle.
+        let values: Vec<MaskedString> = ["ab", "a1", "Q1", "Qa"]
+            .iter()
+            .map(|s| MaskedString::from_plain(s))
+            .collect();
+        let cfg = ProfilerConfig::default();
+        let groups = group_by_shape(&values, &MaskedPool::new(&values));
+        let mut dp = Vec::new();
+        let mut cost = |i: usize, j: usize| {
+            merge_cost(&groups[i], &groups[j], &cfg.merge, &mut dp).map(f64::to_bits)
+        };
+        assert_eq!(cost(1, 2), cost(2, 3), "the input must tie");
+        let (dps, calls) = assert_merge_loops_agree(&values, &cfg);
+        assert!(dps < calls, "{dps} cost DPs vs {calls} try_merge calls");
     }
 
     #[test]

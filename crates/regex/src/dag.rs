@@ -58,8 +58,8 @@ pub struct Dag {
     pub accepts: Vec<bool>,
     /// All consuming edges.
     pub edges: Vec<DagEdge>,
-    /// Incoming edge indices per node.
-    pub in_edges: Vec<Vec<usize>>,
+    /// Outgoing edge indices per node, in edge-index order.
+    pub out_edges: Vec<Vec<usize>>,
     /// Nodes in topological order (start first).
     pub topo: Vec<usize>,
     /// Disjunction alternative table shared by `DagLabel::Disj` edges.
@@ -253,25 +253,20 @@ impl RawBuilder {
         }
         edges.retain(|e| reach[e.from]);
 
-        let mut in_edges: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, e) in edges.iter().enumerate() {
-            in_edges[e.to].push(i);
-        }
-
         // Topological order via Kahn's algorithm over reachable nodes.
         let mut indeg = vec![0usize; n];
         for e in &edges {
             indeg[e.to] += 1;
         }
-        let mut out_new: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut out_edges: Vec<Vec<usize>> = vec![Vec::new(); n];
         for (i, e) in edges.iter().enumerate() {
-            out_new[e.from].push(i);
+            out_edges[e.from].push(i);
         }
         let mut topo = Vec::with_capacity(n);
         let mut queue: Vec<usize> = (0..n).filter(|&u| reach[u] && indeg[u] == 0).collect();
         while let Some(u) = queue.pop() {
             topo.push(u);
-            for &ei in &out_new[u] {
+            for &ei in &out_edges[u] {
                 let v = edges[ei].to;
                 indeg[v] -= 1;
                 if indeg[v] == 0 {
@@ -285,7 +280,7 @@ impl RawBuilder {
             start,
             accepts,
             edges,
-            in_edges,
+            out_edges,
             topo,
             disjs: self.disjs,
         }

@@ -206,17 +206,12 @@ fn zero_cost_path(dag: &Dag, value: &MaskedString) -> Option<Bindings> {
     let idx = |i: usize, u: usize| i * nn + u;
     reached[idx(0, dag.start)] = true;
 
-    let mut out_edges: Vec<Vec<usize>> = vec![Vec::new(); nn];
-    for (i, e) in dag.edges.iter().enumerate() {
-        out_edges[e.from].push(i);
-    }
-
     for i in 0..n {
         for u in 0..nn {
             if !reached[idx(i, u)] {
                 continue;
             }
-            for &ei in &out_edges[u] {
+            for &ei in &dag.out_edges[u] {
                 let e = &dag.edges[ei];
                 match &e.label {
                     DagLabel::Disj(d, _) => {
