@@ -12,8 +12,8 @@
 //!
 //! The concretizer reads all table-scoped state — the [`FeatureSet`],
 //! row feature vectors, table-level row interning — from the shared
-//! [`AnalysisSession`], so every column of a table (and both repair
-//! strategies) work from one generated context. Decision trees are induced
+//! [`AnalysisSession`], so every column of a table works from one
+//! generated context. Decision trees are induced
 //! over *distinct* row feature vectors weighted by multiplicity
 //! ([`crate::dtree::learn_weighted`]), byte-identical to per-row expansion.
 
@@ -74,8 +74,7 @@ impl<'s, 't> Concretizer<'s, 't> {
     ///
     /// Bindings are a pure function of the masked value, so the matching
     /// walk runs once per *distinct* training value and duplicate rows
-    /// share its result — the training-side half of the distinct-value
-    /// repair planner.
+    /// share its result.
     pub fn train_pattern(
         &mut self,
         pattern_idx: usize,
@@ -179,29 +178,6 @@ impl<'s, 't> Concretizer<'s, 't> {
         self.training.get(&pattern_idx)?.trees.get(&key)
     }
 
-    /// True when every fillable hole of `repair` predicts independently of
-    /// the error row: its tree is absent (pooled-majority fallback) or a
-    /// constant leaf. The repair planner then computes one filler tuple for
-    /// a whole group of duplicate error values, skipping the per-row
-    /// feature lookups entirely. (Enumeration mode never reads row
-    /// features, so it is always invariant.)
-    pub fn predictions_row_invariant(
-        &mut self,
-        pattern_idx: usize,
-        repair: &AbstractRepair,
-    ) -> bool {
-        if !self.cfg.learned_concretization {
-            return true;
-        }
-        let holes: Vec<AtomKey> = repair.fillable_holes().into_iter().map(hole_key).collect();
-        holes.into_iter().all(|key| {
-            !matches!(
-                self.ensure_tree(pattern_idx, key),
-                Some(Some((DecisionTree::Split { .. }, _)))
-            )
-        })
-    }
-
     fn tree_prediction(
         &mut self,
         pattern_idx: usize,
@@ -215,9 +191,7 @@ impl<'s, 't> Concretizer<'s, 't> {
         let training = self.training.get(&pattern_idx)?;
         let (tree, labels) = training.trees.get(&key)?.as_ref()?;
         // Constant trees predict the same label for every row — skip the
-        // (cross-column) feature computation entirely. This makes the
-        // common duplicate-heavy case row-independent, which the repair
-        // planner's signature memo then collapses across a whole group.
+        // (cross-column) feature computation entirely.
         if let DecisionTree::Leaf(label) = tree {
             return labels.get(*label as usize).cloned();
         }

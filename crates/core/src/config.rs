@@ -26,19 +26,13 @@ pub enum RankingMode {
     EditDistance,
 }
 
-/// How the repair phase iterates over detected error rows.
-///
-/// Both strategies decide the same repairs, so reports are byte-identical
-/// either way (proven by `tests/repair_plan_vs_rowwise.rs`); the per-row
-/// loop is kept as the reference the planner is tested against.
+/// How the repair phase iterates over detected error rows. Repair runs
+/// once per error row, so the one variant has no effect; it remains only
+/// because the benchmark harness (`perfbench/`) still sets it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RepairStrategy {
-    /// Column-level repair plan: error rows are grouped by distinct value,
-    /// and edit-program search, concretization, and candidate ranking are
-    /// shared across duplicate values (the fast path; default).
+    /// The per-row repair loop (the only one).
     #[default]
-    Planner,
-    /// The per-row reference loop (the differential oracle).
     RowWise,
 }
 
@@ -57,8 +51,8 @@ pub struct DataVinciConfig {
     pub learned_concretization: bool,
     /// Ranking strategy.
     pub ranking: RankingMode,
-    /// Repair execution strategy (distinct-value planner vs per-row
-    /// reference loop).
+    /// Repair execution strategy. Has no effect: repair always runs once
+    /// per error row.
     pub repair_strategy: RepairStrategy,
     /// Heuristic ranker weights.
     pub weights: RankerWeights,
@@ -131,15 +125,6 @@ impl DataVinciConfig {
             ..Default::default()
         }
     }
-
-    /// The per-row repair reference configuration (differential oracle for
-    /// the distinct-value planner).
-    pub fn rowwise_repair() -> Self {
-        DataVinciConfig {
-            repair_strategy: RepairStrategy::RowWise,
-            ..Default::default()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -153,18 +138,6 @@ mod tests {
         assert!(cfg.learned_concretization);
         assert_eq!(cfg.ranking, RankingMode::Heuristic);
         assert!((cfg.dtree.alpha - 0.8).abs() < 1e-12);
-    }
-
-    #[test]
-    fn planner_is_the_default_repair_strategy() {
-        assert_eq!(
-            DataVinciConfig::default().repair_strategy,
-            RepairStrategy::Planner
-        );
-        assert_eq!(
-            DataVinciConfig::rowwise_repair().repair_strategy,
-            RepairStrategy::RowWise
-        );
     }
 
     #[test]

@@ -268,8 +268,8 @@ fn truncate(
 /// indices into the caller's label table). Entropy sums floats, so counts
 /// are always consumed in ascending label order — a hash map's
 /// per-instance iteration order would make gain comparisons flip at ULP
-/// scale between otherwise identical `learn` calls, and the repair planner
-/// and its per-row oracle must pick the *same* tree for the same examples.
+/// scale between otherwise identical `learn` calls, which must pick the
+/// *same* tree for the same examples.
 fn label_counts(data: &Weighted<'_>, n_labels: usize, indices: &[usize]) -> Vec<usize> {
     let mut counts = vec![0usize; n_labels];
     for &i in indices {

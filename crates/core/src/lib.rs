@@ -41,7 +41,6 @@ pub mod persist;
 pub mod pipeline;
 pub mod ranker;
 pub mod repair_dp;
-pub mod repair_plan;
 pub mod session;
 pub mod system;
 
@@ -55,7 +54,6 @@ pub use persist::PersistError;
 pub use pipeline::{ColumnAnalysis, ColumnReport, DataVinci, TableReport};
 pub use ranker::{CandidateProperties, ClosestValues, RankerWeights};
 pub use repair_dp::minimal_edit_program;
-pub use repair_plan::{RepairGroup, RepairPlan};
 pub use session::{AnalysisSession, SessionResumeError, SessionSnapshot, SessionStats};
 pub use system::{CleaningSystem, Detection, RepairCandidate, RepairSuggestion};
 // The session's column-type detections surface semantic-crate types;

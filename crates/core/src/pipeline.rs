@@ -11,15 +11,12 @@
 //! fresh session per call; they double as the "regenerate per repair"
 //! oracle the session paths are differentially tested against.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::concretize::Concretizer;
-use crate::config::{DataVinciConfig, RankingMode, RepairStrategy, SemanticMode};
-use crate::edit::AbstractRepair;
+use crate::config::{DataVinciConfig, RankingMode, SemanticMode};
 use crate::ranker::{CandidateProperties, ClosestValues};
 use crate::repair_dp::minimal_edit_program;
-use crate::repair_plan::RepairPlan;
 use crate::session::AnalysisSession;
 use crate::system::{CleaningSystem, Detection, RepairCandidate, RepairSuggestion};
 use datavinci_profile::{profile_column_pooled, rescore_profile_pooled, ColumnProfile, MaskedPool};
@@ -40,8 +37,9 @@ pub struct ColumnAnalysis {
     pub col: usize,
     /// Rendered cell values, one per row (rendered once per session).
     pub values: Arc<Vec<String>>,
-    /// Distinct-value interning of `values` (computed once per session;
-    /// the repair planner and cache layers key their sharing on it).
+    /// Distinct-value interning of `values` (computed once per session).
+    /// Detection shares its semantic-only verdicts across duplicate values
+    /// through it, and the append path extends it instead of re-interning.
     pub pool: Arc<ValuePool>,
     /// The semantic abstraction (mask occurrences, defaults).
     pub abstraction: AbstractedColumn,
@@ -115,53 +113,6 @@ impl ColumnReport {
 pub struct TableReport {
     /// Per-column reports (cleaned columns only).
     pub columns: Vec<ColumnReport>,
-}
-
-/// One pattern's precomputed repair for a group of duplicate error values:
-/// the minimal edit program's cost/edit stats and its abstract repair.
-struct PatternRepair {
-    cost: usize,
-    alnum: usize,
-    repair: AbstractRepair,
-}
-
-/// The per-row concretization outcome that keys the planner's candidate
-/// memo: for each repairable significant pattern (by index into
-/// `analysis.significant`), the filler tuples the concretizer produced.
-type Signature = Vec<(usize, Vec<Vec<String>>)>;
-
-/// Lazily built per-group repair state (see
-/// [`DataVinci::repair_analysis`]'s planner path).
-#[derive(Default)]
-struct GroupState {
-    /// Per significant pattern: the DP outcome (None = unrepairable), built
-    /// at the group's first error row.
-    repairs: Option<Vec<Option<PatternRepair>>>,
-    /// Every hole of every repairable pattern predicts independently of the
-    /// row (constant trees / pooled majorities): the finished candidate
-    /// list is shared outright, with no per-row feature lookups.
-    invariant: bool,
-    /// The shared candidate list, once built (invariant groups only).
-    shared: Option<Vec<RepairCandidate>>,
-    /// Per significant pattern: fillers → (concretized repair, score).
-    filled: Vec<HashMap<Vec<String>, (String, f64)>>,
-    /// Finished ranked candidate lists, keyed by filler signature.
-    by_signature: HashMap<Signature, Vec<RepairCandidate>>,
-}
-
-/// ⑥ Ranks candidates in place: score ascending (ties by repaired string),
-/// deduplicated by repaired string, truncated to the top 8. Shared verbatim
-/// by the per-row and planner paths so they cannot drift.
-fn rank_candidates(out: &mut Vec<RepairCandidate>) {
-    let _span = telemetry::span(stages::RANK);
-    out.sort_by(|a, b| {
-        a.score
-            .partial_cmp(&b.score)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.repaired.cmp(&b.repaired))
-    });
-    out.dedup_by(|a, b| a.repaired == b.repaired);
-    out.truncate(8);
 }
 
 /// The DataVinci system.
@@ -272,18 +223,9 @@ impl DataVinci {
         self.detect_with_profile(col, values, pool, abstraction, masked, profile)
     }
 
-    /// Runs abstraction and detection on one column, *reusing* a previously
-    /// analyzed prior instead of re-learning patterns from scratch.
-    pub fn analyze_column_appended(
-        &self,
-        table: &Table,
-        col: usize,
-        prior: &ColumnAnalysis,
-    ) -> ColumnAnalysis {
-        self.analyze_column_appended_in(&self.session(table), col, prior)
-    }
-
-    /// [`DataVinci::analyze_column_appended`] against a shared session.
+    /// Runs abstraction and detection on one column against a shared
+    /// session, *reusing* a previously analyzed prior instead of re-learning
+    /// patterns from scratch.
     ///
     /// The prior's patterns are re-scored (membership + coverage) against
     /// the current column content, so this is sound whenever the prior
@@ -444,43 +386,30 @@ impl DataVinci {
         self.repair_analysis_in(&session, analysis)
     }
 
-    /// Repairs the errors of a finished analysis.
+    /// Repairs the errors of a finished analysis: every error row runs the
+    /// ③–⑥ path once (edit programs, concretization, ranking).
     ///
     /// Public so batch engines (and the execution-guided path) can replay a
     /// cached or reused [`ColumnAnalysis`] without re-abstracting the
     /// column; the analysis's own rendered `values` are reused throughout,
     /// and the concretizer borrows the session's shared feature context.
-    ///
-    /// Dispatches on [`DataVinciConfig::repair_strategy`]: the distinct-value
-    /// planner by default, or the per-row reference loop. Both produce
-    /// byte-identical reports.
     pub fn repair_analysis_in(
         &self,
         session: &AnalysisSession<'_>,
         analysis: &ColumnAnalysis,
     ) -> ColumnReport {
         let _span = telemetry::span(stages::REPAIR);
-        match self.cfg.repair_strategy {
-            RepairStrategy::Planner => self.repair_analysis_planned(session, analysis),
-            RepairStrategy::RowWise => self.repair_analysis_rowwise(session, analysis),
-        }
-    }
-
-    /// The report skeleton plus the trained concretizer and the clean-value
-    /// index — the prologue both repair strategies share.
-    fn repair_prologue<'s, 't>(
-        &'s self,
-        session: &'s AnalysisSession<'t>,
-        analysis: &'s ColumnAnalysis,
-    ) -> (ColumnReport, ClosestValues<'s>, Concretizer<'s, 't>) {
         let values = &analysis.values;
-        let report = ColumnReport {
+        let mut report = ColumnReport {
             col: analysis.col,
             n_rows: values.len(),
             significant_patterns: analysis.significant_patterns(),
             detections: Vec::new(),
             repairs: Vec::new(),
         };
+        if analysis.significant.is_empty() || analysis.error_rows.is_empty() {
+            return report;
+        }
 
         // Non-error values, for the ranker's closest-value property
         // (`error_rows` is sorted; borrow instead of cloning each value).
@@ -501,29 +430,6 @@ impl DataVinci {
                 .collect();
             concretizer.train_pattern(pi, lp, &training_rows, &analysis.masked);
         }
-        (report, clean_values, concretizer)
-    }
-
-    /// The per-row reference implementation of
-    /// [`DataVinci::repair_analysis_in`]: every error row runs the full
-    /// ③–⑥ path independently. Kept as the differential oracle the planner
-    /// is proven against.
-    fn repair_analysis_rowwise(
-        &self,
-        session: &AnalysisSession<'_>,
-        analysis: &ColumnAnalysis,
-    ) -> ColumnReport {
-        if analysis.significant.is_empty() || analysis.error_rows.is_empty() {
-            return ColumnReport {
-                col: analysis.col,
-                n_rows: analysis.values.len(),
-                significant_patterns: analysis.significant_patterns(),
-                detections: Vec::new(),
-                repairs: Vec::new(),
-            };
-        }
-        let values = &analysis.values;
-        let (mut report, clean_values, mut concretizer) = self.repair_prologue(session, analysis);
 
         for &row in &analysis.error_rows {
             report.detections.push(Detection {
@@ -532,203 +438,6 @@ impl DataVinci {
             });
             let candidates =
                 self.candidates_for_row(analysis, &mut concretizer, row, &clean_values);
-            if let Some(best) = candidates.first() {
-                if best.repaired != values[row] {
-                    report.repairs.push(RepairSuggestion {
-                        row,
-                        original: values[row].clone(),
-                        repaired: best.repaired.clone(),
-                        candidates,
-                    });
-                }
-            }
-        }
-        report
-    }
-
-    /// The distinct-value planner: error rows are grouped by value (and
-    /// abstraction) via [`RepairPlan`]; each group runs the repair DP and
-    /// abstract-repair construction once, and concretized candidates,
-    /// ranking measurements, and finished candidate lists are memoized at
-    /// group scope. Only the decision-tree hole predictions — which read
-    /// the *row's* cross-column features — run per row, and rows whose
-    /// predictions agree share the entire ranked list.
-    fn repair_analysis_planned(
-        &self,
-        session: &AnalysisSession<'_>,
-        analysis: &ColumnAnalysis,
-    ) -> ColumnReport {
-        if analysis.significant.is_empty() || analysis.error_rows.is_empty() {
-            return ColumnReport {
-                col: analysis.col,
-                n_rows: analysis.values.len(),
-                significant_patterns: analysis.significant_patterns(),
-                detections: Vec::new(),
-                repairs: Vec::new(),
-            };
-        }
-        let values = &analysis.values;
-        let (mut report, clean_values, mut concretizer) = self.repair_prologue(session, analysis);
-
-        // Pattern renderings, once per pattern instead of once per
-        // candidate (aligned with `analysis.significant`).
-        let provenance: Vec<String> = analysis
-            .significant
-            .iter()
-            .map(|&pi| {
-                datavinci_regex::render(
-                    &analysis.profile.patterns[pi].pattern,
-                    &analysis.abstraction.alphabet,
-                )
-            })
-            .collect();
-
-        let plan = RepairPlan::build_in(analysis, session);
-        telemetry::counter("repair.plan_groups", plan.groups().len() as u64);
-        telemetry::counter("repair.plan_error_rows", analysis.error_rows.len() as u64);
-        let mut states: Vec<GroupState> = plan
-            .groups()
-            .iter()
-            .map(|_| GroupState::default())
-            .collect();
-
-        for (i, &row) in analysis.error_rows.iter().enumerate() {
-            report.detections.push(Detection {
-                row,
-                value: values[row].clone(),
-            });
-            let g = plan.group_of_error(i);
-            let rep = plan.groups()[g].representative();
-
-            // Singleton groups have nothing to share: run the reference
-            // row path directly (identical by construction) and skip the
-            // memo bookkeeping, so the planner costs nothing on
-            // all-distinct columns.
-            if plan.groups()[g].rows.len() == 1 {
-                let candidates =
-                    self.candidates_for_row(analysis, &mut concretizer, row, &clean_values);
-                if let Some(best) = candidates.first() {
-                    if best.repaired != values[row] {
-                        report.repairs.push(RepairSuggestion {
-                            row,
-                            original: values[row].clone(),
-                            repaired: best.repaired.clone(),
-                            candidates,
-                        });
-                    }
-                }
-                continue;
-            }
-            let state = &mut states[g];
-
-            // ③ Once per group: minimal edit programs against every
-            // significant pattern, their abstract repairs and edit stats.
-            if state.repairs.is_none() {
-                telemetry::counter("repair.dp_runs", analysis.significant.len() as u64);
-                let value = &analysis.masked[rep];
-                let repairs: Vec<Option<PatternRepair>> = analysis
-                    .significant
-                    .iter()
-                    .map(|&pi| {
-                        let lp = &analysis.profile.patterns[pi];
-                        let dag = lp.compiled.dag_for_len(value.len());
-                        minimal_edit_program(&dag, value).map(|program| PatternRepair {
-                            cost: program.cost,
-                            alnum: program.alnum_edits(value),
-                            repair: program.apply(value),
-                        })
-                    })
-                    .collect();
-                state.invariant = repairs.iter().enumerate().all(|(si, pr)| {
-                    pr.as_ref().is_none_or(|pr| {
-                        concretizer.predictions_row_invariant(analysis.significant[si], &pr.repair)
-                    })
-                });
-                state.filled = vec![HashMap::new(); analysis.significant.len()];
-                state.repairs = Some(repairs);
-            }
-            // Row-invariant groups share the finished list outright.
-            if let Some(shared) = (state.invariant).then(|| state.shared.clone()).flatten() {
-                if let Some(best) = shared.first() {
-                    if best.repaired != values[row] {
-                        report.repairs.push(RepairSuggestion {
-                            row,
-                            original: values[row].clone(),
-                            repaired: best.repaired.clone(),
-                            candidates: shared,
-                        });
-                    }
-                }
-                continue;
-            }
-            let GroupState {
-                repairs,
-                filled,
-                by_signature,
-                ..
-            } = state;
-            let repairs = repairs.as_ref().expect("built above");
-
-            // ④ Per row: concretization fillers (the trees read this row's
-            // features). The filler signature keys the candidate memo.
-            let mut signature: Signature = Vec::new();
-            for (si, pr) in repairs.iter().enumerate() {
-                let Some(pr) = pr else { continue };
-                let pi = analysis.significant[si];
-                signature.push((si, concretizer.fillers(pi, row, &pr.repair)));
-            }
-
-            // ⑤–⑥ Once per distinct signature: concretize, measure, rank.
-            let candidates = match by_signature.get(&signature) {
-                Some(cached) => cached.clone(),
-                None => {
-                    let original = values[rep].as_str();
-                    let mut out: Vec<RepairCandidate> = Vec::new();
-                    for (si, tuples) in &signature {
-                        let pr = repairs[*si].as_ref().expect("signature lists repairables");
-                        let lp = &analysis.profile.patterns[analysis.significant[*si]];
-                        for fillers in tuples {
-                            let (repaired, score) = match filled[*si].get(fillers) {
-                                Some(hit) => hit.clone(),
-                                None => {
-                                    let repaired_masked = pr.repair.fill(fillers);
-                                    let repaired =
-                                        analysis.abstraction.concretize(rep, &repaired_masked);
-                                    let props = CandidateProperties::measure(
-                                        original,
-                                        &repaired,
-                                        pr.alnum,
-                                        lp.coverage,
-                                        &clean_values,
-                                    );
-                                    let score = match self.cfg.ranking {
-                                        RankingMode::Heuristic => {
-                                            props.heuristic_score(&self.cfg.weights)
-                                        }
-                                        RankingMode::EditDistance => props.edit_distance_score(),
-                                    };
-                                    filled[*si].insert(fillers.clone(), (repaired.clone(), score));
-                                    (repaired, score)
-                                }
-                            };
-                            out.push(RepairCandidate {
-                                repaired,
-                                cost: pr.cost,
-                                score,
-                                provenance: provenance[*si].clone(),
-                            });
-                        }
-                    }
-                    rank_candidates(&mut out);
-                    by_signature.insert(signature, out.clone());
-                    out
-                }
-            };
-            let state = &mut states[g];
-            if state.invariant && state.shared.is_none() {
-                state.shared = Some(candidates.clone());
-            }
-
             if let Some(best) = candidates.first() {
                 if best.repaired != values[row] {
                     report.repairs.push(RepairSuggestion {
@@ -789,7 +498,17 @@ impl DataVinci {
                 });
             }
         }
-        rank_candidates(&mut out);
+        // ⑥ Rank: score ascending (ties by repaired string), deduplicated
+        // by repaired string, truncated to the top 8.
+        let _span = telemetry::span(stages::RANK);
+        out.sort_by(|a, b| {
+            a.score
+                .partial_cmp(&b.score)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| a.repaired.cmp(&b.repaired))
+        });
+        out.dedup_by(|a, b| a.repaired == b.repaired);
+        out.truncate(8);
         out
     }
 

@@ -13,8 +13,8 @@
 //!   every column's concretizer and decision-tree learner;
 //! * **row feature vectors**, interned per *distinct table row* (rows equal
 //!   in every cell share one vector) and memoized across columns;
-//! * the per-column rendered **values** and [`ValuePool`]s the repair
-//!   planner and the semantic layers key their sharing on;
+//! * the per-column rendered **values** and [`ValuePool`]s the detection,
+//!   append and semantic layers key their sharing on;
 //! * a handle to the semantic [`MaskCache`] (per-value gazetteer sweeps,
 //!   shared with the abstraction model) and a [`ColumnTypeMemo`] for
 //!   semantic column-type detections.
@@ -60,11 +60,6 @@ pub struct SessionStats {
     pub table_rows: u64,
     /// Distinct table rows (0 until first needed).
     pub distinct_rows: u64,
-    /// Error rows scheduled by repair plans built in this session.
-    pub plan_error_rows: u64,
-    /// Repair groups those plans produced (the number of times the
-    /// expensive repair path ran).
-    pub plan_groups: u64,
     /// Semantic column-type detections memoized.
     pub column_types_memoized: u64,
     /// Entries currently in the shared semantic mask cache (absolute — the
@@ -96,23 +91,12 @@ impl SessionStats {
         self.pools_reused += other.pools_reused;
         self.table_rows += other.table_rows;
         self.distinct_rows += other.distinct_rows;
-        self.plan_error_rows += other.plan_error_rows;
-        self.plan_groups += other.plan_groups;
         self.column_types_memoized += other.column_types_memoized;
         self.mask_cache_entries = self.mask_cache_entries.max(other.mask_cache_entries);
         self.mask_cache_hits += other.mask_cache_hits;
         self.mask_cache_misses += other.mask_cache_misses;
         self.session_extensions += other.session_extensions;
         self.rows_appended += other.rows_appended;
-    }
-
-    /// Rows served per repair-plan group (1.0 when nothing was planned).
-    pub fn plan_sharing_factor(&self) -> f64 {
-        if self.plan_groups == 0 {
-            1.0
-        } else {
-            self.plan_error_rows as f64 / self.plan_groups as f64
-        }
     }
 }
 
@@ -124,8 +108,6 @@ struct Counters {
     feature_row_hits: AtomicU64,
     pools_built: AtomicU64,
     pools_reused: AtomicU64,
-    plan_error_rows: AtomicU64,
-    plan_groups: AtomicU64,
     session_extensions: AtomicU64,
     rows_appended: AtomicU64,
 }
@@ -377,17 +359,6 @@ impl<'t> AnalysisSession<'t> {
             .detect(col, &pool.distinct(), pool.counts(), gaz, min_confidence)
     }
 
-    /// Records a repair plan's sharing outcome (called by
-    /// [`crate::RepairPlan::build_in`]).
-    pub(crate) fn record_plan(&self, error_rows: usize, groups: usize) {
-        self.counters
-            .plan_error_rows
-            .fetch_add(error_rows as u64, Ordering::Relaxed);
-        self.counters
-            .plan_groups
-            .fetch_add(groups as u64, Ordering::Relaxed);
-    }
-
     /// A snapshot of the session's reuse counters.
     pub fn stats(&self) -> SessionStats {
         let mask = self.mask_cache.stats();
@@ -402,8 +373,6 @@ impl<'t> AnalysisSession<'t> {
                 .get()
                 .map_or(0, |p| p.row_to_distinct.len() as u64),
             distinct_rows: self.row_pool.get().map_or(0, |p| p.n_distinct() as u64),
-            plan_error_rows: self.counters.plan_error_rows.load(Ordering::Relaxed),
-            plan_groups: self.counters.plan_groups.load(Ordering::Relaxed),
             column_types_memoized: self.types.len() as u64,
             mask_cache_entries: mask.entries,
             mask_cache_hits: mask.hits.saturating_sub(self.mask_base.hits),

@@ -19,8 +19,7 @@ pub struct TableSpec {
     /// with a Zipf-ish head bias. `0.0` (the default) disables reuse.
     ///
     /// Real columns are dominated by duplicate values; this knob produces
-    /// the duplicate-heavy regimes the distinct-value repair planner is
-    /// benchmarked on. Rows (not cells) are duplicated so cross-column
+    /// duplicate-heavy regimes. Rows (not cells) are duplicated so cross-column
     /// dependencies (e.g. Category ↔ Player-ID) survive.
     pub duplication: f64,
 }
@@ -79,8 +78,7 @@ impl TableSpec {
 /// [`TableSpec`]'s `duplication` knob applies during generation.
 ///
 /// Useful for making *dirty* tables duplicate-heavy: corrupt first, then
-/// duplicate, and the repeated rows carry repeated erroneous values — the
-/// regime the distinct-value repair planner amortizes.
+/// duplicate, and the repeated rows carry repeated erroneous values.
 pub fn duplicate_rows(rng: &mut StdRng, table: &Table, ratio: f64) -> Table {
     let mut columns: Vec<Column> = table.columns().to_vec();
     apply_duplication(rng, &mut columns, ratio);

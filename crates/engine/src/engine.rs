@@ -11,7 +11,7 @@ use crate::report::{
     cache_stats_into, session_stats_into, BatchReport, CacheOutcome, ColumnOutcome, EngineReport,
 };
 use crate::store::{ArtifactStore, FlushStats, LoadStats, StoreError};
-use datavinci_core::{AnalysisSession, DataVinci, TableReport};
+use datavinci_core::{AnalysisSession, ColumnAnalysis, DataVinci, TableReport};
 use datavinci_table::{CellRef, CellValue, Table};
 use datavinci_telemetry::{self as telemetry, MetricsFrame, MetricsRegistry, TaskProfile};
 
@@ -397,78 +397,55 @@ impl Engine {
                     CacheOutcome::Disabled,
                 )
             }
-            Some(cache) => match cache.lookup(column, col, table_fingerprint) {
-                CacheLookup::Report(entry) => (entry.report.clone(), CacheOutcome::ReportHit),
-                CacheLookup::Analysis(entry) => {
-                    let report = self.dv.repair_analysis_in(session, &entry.analysis);
-                    cache.insert(
-                        column,
-                        col,
-                        table_fingerprint,
-                        Arc::clone(&entry.analysis),
-                        report.clone(),
-                    );
-                    (report, CacheOutcome::AnalysisHit)
-                }
-                CacheLookup::Append(entry) => {
-                    // Reuses both the prior's learned patterns (re-scored)
-                    // and its interning pool (extended with the appended
-                    // rows and installed into the session), so a warm
-                    // re-score skips re-interning.
-                    let analysis =
-                        self.dv
-                            .analyze_column_appended_in(session, col, &entry.analysis);
-                    // Append reuse assumes the prior language still
-                    // describes the column. If the appended rows mostly
-                    // fall outside it — or significance collapsed under
-                    // the new row count — the assumption failed:
-                    // re-profile from scratch like a miss.
-                    let appended = column.len() - entry.n_rows;
-                    let appended_errors = analysis
-                        .error_rows
-                        .iter()
-                        .filter(|&&row| row >= entry.n_rows)
-                        .count();
-                    let language_broke = appended_errors * 2 > appended
-                        || (analysis.significant.is_empty()
-                            && !entry.analysis.significant.is_empty());
-                    if language_broke {
-                        cache.record_append_fallback();
+            Some(cache) => {
+                // Repairs a finished analysis and caches it with its report.
+                let repair_and_insert = |analysis: Arc<ColumnAnalysis>| {
+                    let report = self.dv.repair_analysis_in(session, &analysis);
+                    cache.insert(column, col, table_fingerprint, analysis, report.clone());
+                    report
+                };
+                match cache.lookup(column, col, table_fingerprint) {
+                    CacheLookup::Report(entry) => (entry.report.clone(), CacheOutcome::ReportHit),
+                    CacheLookup::Analysis(entry) => (
+                        repair_and_insert(Arc::clone(&entry.analysis)),
+                        CacheOutcome::AnalysisHit,
+                    ),
+                    CacheLookup::Append(entry) => {
+                        // Reuses both the prior's learned patterns (re-scored)
+                        // and its interning pool (extended with the appended
+                        // rows and installed into the session), so a warm
+                        // re-score skips re-interning.
+                        let analysis =
+                            self.dv
+                                .analyze_column_appended_in(session, col, &entry.analysis);
+                        // Append reuse assumes the prior language still
+                        // describes the column. If the appended rows mostly
+                        // fall outside it — or significance collapsed under
+                        // the new row count — the assumption failed:
+                        // re-profile from scratch like a miss.
+                        let appended = column.len() - entry.n_rows;
+                        let appended_errors = analysis
+                            .error_rows
+                            .iter()
+                            .filter(|&&row| row >= entry.n_rows)
+                            .count();
+                        let language_broke = appended_errors * 2 > appended
+                            || (analysis.significant.is_empty()
+                                && !entry.analysis.significant.is_empty());
+                        let (analysis, outcome) = if language_broke {
+                            cache.record_append_fallback();
+                            (self.dv.analyze_column_in(session, col), CacheOutcome::Miss)
+                        } else {
+                            (analysis, CacheOutcome::AppendHit)
+                        };
+                        (repair_and_insert(Arc::new(analysis)), outcome)
+                    }
+                    CacheLookup::Miss => {
                         let analysis = self.dv.analyze_column_in(session, col);
-                        let report = self.dv.repair_analysis_in(session, &analysis);
-                        cache.insert(
-                            column,
-                            col,
-                            table_fingerprint,
-                            Arc::new(analysis),
-                            report.clone(),
-                        );
-                        (report, CacheOutcome::Miss)
-                    } else {
-                        let report = self.dv.repair_analysis_in(session, &analysis);
-                        cache.insert(
-                            column,
-                            col,
-                            table_fingerprint,
-                            Arc::new(analysis),
-                            report.clone(),
-                        );
-                        (report, CacheOutcome::AppendHit)
+                        (repair_and_insert(Arc::new(analysis)), CacheOutcome::Miss)
                     }
                 }
-                CacheLookup::Miss => {
-                    let analysis = self.dv.analyze_column_in(session, col);
-                    let report = self.dv.repair_analysis_in(session, &analysis);
-                    cache.insert(
-                        column,
-                        col,
-                        table_fingerprint,
-                        Arc::new(analysis),
-                        report.clone(),
-                    );
-                    (report, CacheOutcome::Miss)
-                }
-            },
+            }
         };
 
         let elapsed = started.elapsed();

@@ -138,12 +138,6 @@ pub fn session_stats_json(stats: &SessionStats) -> Json {
         .field("pools_reused", Json::Int(stats.pools_reused as i64))
         .field("table_rows", Json::Int(stats.table_rows as i64))
         .field("distinct_rows", Json::Int(stats.distinct_rows as i64))
-        .field("plan_error_rows", Json::Int(stats.plan_error_rows as i64))
-        .field("plan_groups", Json::Int(stats.plan_groups as i64))
-        .field(
-            "plan_sharing_factor",
-            Json::Num(stats.plan_sharing_factor()),
-        )
         .field(
             "column_types_memoized",
             Json::Int(stats.column_types_memoized as i64),
@@ -164,8 +158,8 @@ pub fn session_stats_json(stats: &SessionStats) -> Json {
         .field("rows_appended", Json::Int(stats.rows_appended as i64))
 }
 
-/// Mirrors [`SessionStats`] into the unified metrics schema: every integer
-/// field becomes a `session.*` counter, the derived sharing factor a gauge.
+/// Mirrors [`SessionStats`] into the unified metrics schema: every field
+/// becomes a `session.*` counter.
 ///
 /// This (plus [`cache_stats_into`]) is the canonical metrics mapping;
 /// [`session_stats_json`] and [`CacheStats::to_json`] render the same
@@ -178,15 +172,12 @@ pub fn session_stats_into(frame: &mut MetricsFrame, stats: &SessionStats) {
     frame.add_counter("session.pools_reused", stats.pools_reused);
     frame.add_counter("session.table_rows", stats.table_rows);
     frame.add_counter("session.distinct_rows", stats.distinct_rows);
-    frame.add_counter("session.plan_error_rows", stats.plan_error_rows);
-    frame.add_counter("session.plan_groups", stats.plan_groups);
     frame.add_counter("session.column_types_memoized", stats.column_types_memoized);
     frame.add_counter("session.mask_cache_entries", stats.mask_cache_entries);
     frame.add_counter("session.mask_cache_hits", stats.mask_cache_hits);
     frame.add_counter("session.mask_cache_misses", stats.mask_cache_misses);
     frame.add_counter("session.extensions", stats.session_extensions);
     frame.add_counter("session.rows_appended", stats.rows_appended);
-    frame.set_gauge("session.plan_sharing_factor", stats.plan_sharing_factor());
 }
 
 /// Mirrors [`CacheStats`] into the unified metrics schema as cumulative

@@ -37,7 +37,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::json::Json;
-use crate::store::{ArtifactStore, StoreError};
+use crate::store::ArtifactStore;
 use crate::{Engine, EngineConfig, DEFAULT_CACHE_CAPACITY};
 use datavinci_core::{DataVinci, DataVinciConfig, RepairStrategy, SemanticMode};
 use datavinci_table::io;
@@ -59,7 +59,8 @@ pub struct ServerConfig {
     pub store_budget: u64,
     /// Semantic handling mode for every tenant's system.
     pub semantics: SemanticMode,
-    /// Repair strategy for every tenant's system.
+    /// Repair strategy for every tenant's system. Has no effect: repair
+    /// always runs once per error row.
     pub strategy: RepairStrategy,
 }
 
@@ -71,7 +72,7 @@ impl Default for ServerConfig {
             store_dir: None,
             store_budget: crate::store::DEFAULT_STORE_BUDGET,
             semantics: SemanticMode::Full,
-            strategy: RepairStrategy::Planner,
+            strategy: RepairStrategy::RowWise,
         }
     }
 }
@@ -458,20 +459,4 @@ pub fn roundtrip(address: &str, request: &Json) -> Result<Json, String> {
         return Err("server closed the connection".to_string());
     }
     Json::parse(&line).map_err(|e| format!("bad response: {e}"))
-}
-
-impl crate::store::LoadStats {
-    /// Records restored across all tiers.
-    pub fn total(&self) -> usize {
-        self.columns + self.sessions + self.snapshots
-    }
-}
-
-// Surfaced here so the CLI can map a store failure to its exit code
-// without string-matching.
-impl StoreError {
-    /// Is this a format-version problem (as opposed to I/O or misuse)?
-    pub fn is_version_mismatch(&self) -> bool {
-        matches!(self, StoreError::VersionMismatch { .. })
-    }
 }

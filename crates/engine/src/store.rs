@@ -127,6 +127,15 @@ impl std::error::Error for StoreError {
     }
 }
 
+impl StoreError {
+    /// Is this a format-version problem (as opposed to I/O or misuse)?
+    /// Lets the CLI map a store failure to its exit code without
+    /// string-matching.
+    pub fn is_version_mismatch(&self) -> bool {
+        matches!(self, StoreError::VersionMismatch { .. })
+    }
+}
+
 /// What a [`ArtifactStore::load_into`] recovered.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LoadStats {
@@ -142,6 +151,13 @@ pub struct LoadStats {
     pub skipped: usize,
     /// Bytes of blob consumed by restored records.
     pub bytes: u64,
+}
+
+impl LoadStats {
+    /// Records restored across all tiers.
+    pub fn total(&self) -> usize {
+        self.columns + self.sessions + self.snapshots
+    }
 }
 
 /// What a [`ArtifactStore::flush_from`] wrote.

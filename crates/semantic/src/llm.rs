@@ -231,7 +231,7 @@ impl GazetteerLlm {
     }
 
     /// The per-row reference implementation of [`GazetteerLlm::mask_column`]:
-    /// no interning, no hit memo, every row weighted 1 — the pre-planner
+    /// no interning, no hit memo, every row weighted 1 — the pre-interning
     /// cost model. The unit tests use it as the oracle for the
     /// distinct-value path.
     #[cfg(test)]

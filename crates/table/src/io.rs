@@ -558,9 +558,11 @@ fn unquote_field(raw: &str) -> String {
 }
 
 /// The pre-zero-copy char-at-a-time reader, retained verbatim as the
-/// differential oracle: `tests/csv_roundtrip.rs` proves the borrowing
-/// scanner byte-identical to it on every input it generates. Not instrumented — telemetry counts only the live path.
-pub mod reference {
+/// differential oracle: the `tests::oracle` proptests prove the borrowing
+/// scanner byte-identical to it on every input they generate. Test-only
+/// and not instrumented — telemetry counts only the live path.
+#[cfg(test)]
+mod reference {
     use super::{split_fields, CsvError, CsvErrorKind, Table};
 
     /// The old resumable chunk reader (owned `String` fields throughout).
@@ -589,11 +591,6 @@ pub mod reference {
         /// The header record, if one complete record has been read.
         pub fn header(&self) -> Option<&[String]> {
             self.header.as_deref()
-        }
-
-        /// Number of complete data rows yielded so far.
-        pub fn n_rows(&self) -> usize {
-            self.n_rows
         }
 
         /// Consumes one byte chunk (see the live reader's `push`).
@@ -907,5 +904,141 @@ mod tests {
         assert_eq!(reader.finish().unwrap(), Vec::<Vec<String>>::new());
         assert!(reader.is_drained());
         assert_eq!(reader.n_rows(), 2);
+    }
+
+    /// The live readers against the char-at-a-time [`super::reference`]
+    /// oracle, over the same generated grids as `tests/csv_roundtrip.rs`.
+    mod oracle {
+        use crate::{io, CsvChunkReader, Table};
+        use proptest::prelude::*;
+
+        /// One generated cell: blank, plain, quote-worthy, multi-line, numeric,
+        /// spreadsheet-typed, or multi-byte.
+        fn arb_field() -> impl Strategy<Value = String> {
+            prop_oneof![
+                Just(String::new()),
+                "[a-z]{1,6}",
+                "[A-Z0-9]{1,4}",
+                Just(",".to_string()),
+                Just("\"".to_string()),
+                Just("a,b".to_string()),
+                Just("he said \"\"hi\"\"".to_string()),
+                Just("two\nlines".to_string()),
+                Just("crlf\r\ninside".to_string()),
+                Just("bare\rcr".to_string()),
+                Just("tab\tand space ".to_string()),
+                Just("naïve—α".to_string()),
+                Just("42".to_string()),
+                Just("-3.5".to_string()),
+                Just("TRUE".to_string()),
+                Just("#VALUE!".to_string()),
+            ]
+        }
+
+        /// A rectangular field grid: 1–4 columns, up to ~6 rows (trailing rows may
+        /// be all-blank — the regression the reader must not drop). The cell vector
+        /// is truncated to a whole number of rows in `grid_to_table`.
+        fn arb_grid() -> impl Strategy<Value = (usize, Vec<String>)> {
+            (1usize..5, prop::collection::vec(arb_field(), 0..25))
+        }
+
+        fn grid_to_table(cols: usize, cells: &[String]) -> Table {
+            let header: Vec<String> = (0..cols).map(|c| format!("col{c}")).collect();
+            let n_rows = cells.len() / cols;
+            let rows: Vec<Vec<String>> = cells[..cols * n_rows]
+                .chunks(cols)
+                .map(|r| r.to_vec())
+                .collect();
+            io::rows_to_table(&header, &rows)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn borrowing_path_split_at_every_offset_matches_oracle(grid in arb_grid()) {
+                // The zero-copy API (`push_cow`, borrowed fields) against the
+                // retained char-at-a-time oracle, at every chunk boundary.
+                let (cols, cells) = grid;
+                let csv = io::to_csv(&grid_to_table(cols, &cells));
+                let bytes = csv.as_bytes();
+
+                let mut oracle = io::reference::CsvChunkReader::new();
+                let mut expected = oracle.push(bytes).expect("oracle parse");
+                expected.extend(oracle.finish().expect("oracle finish"));
+
+                for split in 0..=bytes.len() {
+                    let mut reader = CsvChunkReader::new();
+                    let mut rows: Vec<Vec<String>> = Vec::new();
+                    for chunk in [&bytes[..split], &bytes[split..]] {
+                        let cows = reader.push_cow(chunk).expect("borrowing push");
+                        rows.extend(
+                            cows.into_iter()
+                                .map(|row| row.into_iter().map(|f| f.into_owned()).collect()),
+                        );
+                    }
+                    rows.extend(reader.finish().expect("finish"));
+                    prop_assert_eq!(&rows, &expected, "split at byte {} diverged from oracle", split);
+                    prop_assert_eq!(reader.header(), oracle.header());
+                }
+            }
+
+            #[test]
+            fn whole_text_parse_matches_oracle(grid in arb_grid()) {
+                let (cols, cells) = grid;
+                let csv = io::to_csv(&grid_to_table(cols, &cells));
+                let new = io::parse_csv(&csv).expect("live parse");
+                let old = io::reference::parse_csv(&csv).expect("oracle parse");
+                prop_assert_eq!(&new, &old, "zero-copy parse diverged from the oracle");
+            }
+        }
+
+        /// Old-reader-vs-new over the committed corpus fixtures, whole-file and
+        /// line-at-a-time chunked.
+        #[test]
+        fn fixture_files_parse_identically_old_vs_new() {
+            let fixtures = [
+                concat!(
+                    env!("CARGO_MANIFEST_DIR"),
+                    "/../../tests/fixtures/cities.csv"
+                ),
+                concat!(
+                    env!("CARGO_MANIFEST_DIR"),
+                    "/../../tests/fixtures/duplicates.csv"
+                ),
+                concat!(
+                    env!("CARGO_MANIFEST_DIR"),
+                    "/../../tests/fixtures/players.csv"
+                ),
+                concat!(
+                    env!("CARGO_MANIFEST_DIR"),
+                    "/../../tests/fixtures/quarters.csv"
+                ),
+                concat!(
+                    env!("CARGO_MANIFEST_DIR"),
+                    "/../../crates/engine/tests/fixtures/players.csv"
+                ),
+            ];
+            for path in fixtures {
+                let text = std::fs::read_to_string(path).expect("fixture readable");
+                let new = io::parse_csv(&text).expect("live parse");
+                let old = io::reference::parse_csv(&text).expect("oracle parse");
+                assert_eq!(new, old, "{path} parses differently old vs new");
+
+                // Chunked at every line boundary, too.
+                let mut reader = CsvChunkReader::new();
+                let mut rows = Vec::new();
+                for line in text.split_inclusive('\n') {
+                    rows.extend(reader.push_str(line).expect("chunked push"));
+                }
+                rows.extend(reader.finish().expect("finish"));
+                let header = reader.header().expect("header").to_vec();
+                assert_eq!(
+                    io::rows_to_table(&header, &rows),
+                    new,
+                    "{path} chunked parse diverged"
+                );
+            }
+        }
     }
 }

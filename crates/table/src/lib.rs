@@ -10,8 +10,8 @@
 //! * [`Table`] — a collection of equally-long columns with row access,
 //! * [`CellRef`]/[`ColRef`] — stable cell and column addressing,
 //! * [`ValuePool`] — distinct-value interning (values, multiplicities, and
-//!   the row → distinct map) behind the repair planner's dedup-and-share
-//!   execution strategy,
+//!   the row → distinct map) behind the per-distinct-value masking,
+//!   scoring and detection layers,
 //! * [`StrArena`]/[`ArenaInterner`] — bump-style string storage and exact
 //!   interning, keeping the hot paths at O(distinct) *allocations* rather
 //!   than O(distinct) `String`s,

@@ -1,9 +1,9 @@
-//! Distinct-value interning: the substrate of the repair planner.
+//! Distinct-value interning.
 //!
 //! Real columns are dominated by duplicate values (categoricals, codes,
-//! repeated ids), yet most of DataVinci's pipeline — masking, membership
-//! scoring, edit-program search, candidate ranking — is a pure function of
-//! the *value*, not the row. A [`ValuePool`] interns a column's rendered
+//! repeated ids), yet much of DataVinci's pipeline — masking, membership
+//! scoring, the semantic-only verdict — is a pure function of the *value*,
+//! not the row. A [`ValuePool`] interns a column's rendered
 //! values once so every later stage can compute per *distinct* value and
 //! expand to rows, instead of recomputing per row.
 

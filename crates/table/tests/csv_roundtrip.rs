@@ -106,43 +106,6 @@ proptest! {
             prop_assert_eq!(&t, &whole, "split at byte {} changed the parse", split);
         }
     }
-
-    #[test]
-    fn borrowing_path_split_at_every_offset_matches_oracle(grid in arb_grid()) {
-        // The zero-copy API (`push_cow`, borrowed fields) against the
-        // retained char-at-a-time oracle, at every chunk boundary.
-        let (cols, cells) = grid;
-        let csv = io::to_csv(&grid_to_table(cols, &cells));
-        let bytes = csv.as_bytes();
-
-        let mut oracle = io::reference::CsvChunkReader::new();
-        let mut expected = oracle.push(bytes).expect("oracle parse");
-        expected.extend(oracle.finish().expect("oracle finish"));
-
-        for split in 0..=bytes.len() {
-            let mut reader = CsvChunkReader::new();
-            let mut rows: Vec<Vec<String>> = Vec::new();
-            for chunk in [&bytes[..split], &bytes[split..]] {
-                let cows = reader.push_cow(chunk).expect("borrowing push");
-                rows.extend(
-                    cows.into_iter()
-                        .map(|row| row.into_iter().map(|f| f.into_owned()).collect()),
-                );
-            }
-            rows.extend(reader.finish().expect("finish"));
-            prop_assert_eq!(&rows, &expected, "split at byte {} diverged from oracle", split);
-            prop_assert_eq!(reader.header(), oracle.header());
-        }
-    }
-
-    #[test]
-    fn whole_text_parse_matches_oracle(grid in arb_grid()) {
-        let (cols, cells) = grid;
-        let csv = io::to_csv(&grid_to_table(cols, &cells));
-        let new = io::parse_csv(&csv).expect("live parse");
-        let old = io::reference::parse_csv(&csv).expect("oracle parse");
-        prop_assert_eq!(&new, &old, "zero-copy parse diverged from the oracle");
-    }
 }
 
 /// A single-chunk parse of unquoted data must not allocate field copies:
@@ -166,52 +129,4 @@ fn unquoted_fields_are_borrowed() {
     let rows = reader.push_str_cow("h\n\"q,uoted\"\n").expect("parse");
     assert!(matches!(rows[0][0], std::borrow::Cow::Owned(_)));
     assert_eq!(rows[0][0], "q,uoted");
-}
-
-/// Old-reader-vs-new over the committed corpus fixtures, whole-file and
-/// line-at-a-time chunked.
-#[test]
-fn fixture_files_parse_identically_old_vs_new() {
-    let fixtures = [
-        concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../tests/fixtures/cities.csv"
-        ),
-        concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../tests/fixtures/duplicates.csv"
-        ),
-        concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../tests/fixtures/players.csv"
-        ),
-        concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../tests/fixtures/quarters.csv"
-        ),
-        concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../crates/engine/tests/fixtures/players.csv"
-        ),
-    ];
-    for path in fixtures {
-        let text = std::fs::read_to_string(path).expect("fixture readable");
-        let new = io::parse_csv(&text).expect("live parse");
-        let old = io::reference::parse_csv(&text).expect("oracle parse");
-        assert_eq!(new, old, "{path} parses differently old vs new");
-
-        // Chunked at every line boundary, too.
-        let mut reader = CsvChunkReader::new();
-        let mut rows = Vec::new();
-        for line in text.split_inclusive('\n') {
-            rows.extend(reader.push_str(line).expect("chunked push"));
-        }
-        rows.extend(reader.finish().expect("finish"));
-        let header = reader.header().expect("header").to_vec();
-        assert_eq!(
-            io::rows_to_table(&header, &rows),
-            new,
-            "{path} chunked parse diverged"
-        );
-    }
 }

@@ -243,7 +243,7 @@ mod noise_properties {
 
 mod idempotence_properties {
     use super::*;
-    use datavinci::core::{DataVinci, DataVinciConfig, RepairStrategy};
+    use datavinci::core::DataVinci;
     use datavinci::corpus::{duplicate_rows, Flavor, NoiseModel, TableSpec};
     use datavinci::engine::Engine;
     use rand::rngs::StdRng;
@@ -254,8 +254,7 @@ mod idempotence_properties {
 
         /// Cleaning is idempotent: re-cleaning a cleaned table changes
         /// nothing. Repairs move outliers into the significant-pattern
-        /// language, so a second pass finds no further repairs — under both
-        /// the distinct-value planner and the per-row reference path.
+        /// language, so a second pass finds no further repairs.
         #[test]
         fn cleaning_is_idempotent(
             seed in 0u64..5_000,
@@ -283,24 +282,18 @@ mod idempotence_properties {
             } else {
                 dirty
             };
-            for strategy in [RepairStrategy::Planner, RepairStrategy::RowWise] {
-                let dv = DataVinci::with_config(DataVinciConfig {
-                    repair_strategy: strategy,
-                    ..DataVinciConfig::default()
-                });
-                let first = dv.clean_table(&table);
-                let cleaned = Engine::apply(&table, &first);
-                let second = dv.clean_table(&cleaned);
-                let recleaned = Engine::apply(&cleaned, &second);
-                prop_assert_eq!(
-                    &recleaned,
-                    &cleaned,
-                    "{:?}: re-cleaning changed the table (flavor {:?}, {} rows)",
-                    strategy,
-                    flavors[flavor_idx],
-                    rows
-                );
-            }
+            let dv = DataVinci::new();
+            let first = dv.clean_table(&table);
+            let cleaned = Engine::apply(&table, &first);
+            let second = dv.clean_table(&cleaned);
+            let recleaned = Engine::apply(&cleaned, &second);
+            prop_assert_eq!(
+                &recleaned,
+                &cleaned,
+                "re-cleaning changed the table (flavor {:?}, {} rows)",
+                flavors[flavor_idx],
+                rows
+            );
         }
     }
 }

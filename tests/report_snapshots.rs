@@ -161,7 +161,7 @@ fn cities_fixture_snapshot() {
 #[test]
 fn duplicates_fixture_snapshot() {
     // Duplicate-heavy fixture: repeated erroneous values (usa_837 ×3,
-    // Q32001 ×3) exercise the repair planner's group sharing; the snapshot
-    // locks every duplicated row's repair and candidate scores.
+    // Q32001 ×3); the snapshot locks every duplicated row's repair and
+    // candidate scores.
     check_snapshot("duplicates");
 }

@@ -104,7 +104,6 @@ fn ablation_configs_are_identical() {
     let table = duplicate_rows(&mut rng, &dirty, 0.8);
     for (name, cfg) in [
         ("default", DataVinciConfig::default()),
-        ("rowwise strategy", DataVinciConfig::rowwise_repair()),
         ("no semantics", DataVinciConfig::ablation_no_semantics()),
         (
             "limited semantics",
@@ -132,8 +131,8 @@ fn ablation_configs_are_identical() {
 
 #[test]
 fn generated_duplicate_sweep_is_identical() {
-    // Multi-column tables across duplication regimes, both repair
-    // strategies, seeded deterministically.
+    // Multi-column tables across duplication regimes, seeded
+    // deterministically.
     let flavor_pool = [
         vec![Flavor::Quarter, Flavor::PrefixedId],
         vec![Flavor::PlayerWithCategory, Flavor::City],
@@ -157,12 +156,11 @@ fn generated_duplicate_sweep_is_identical() {
         } else {
             dirty
         };
-        let cfg = if i % 5 == 0 {
-            DataVinciConfig::rowwise_repair()
-        } else {
-            DataVinciConfig::default()
-        };
-        cases += assert_identical(&table, &cfg, &format!("sweep case {i} (dup {duplication})"));
+        cases += assert_identical(
+            &table,
+            &DataVinciConfig::default(),
+            &format!("sweep case {i} (dup {duplication})"),
+        );
     }
     assert!(cases >= 60, "expected ≥60 sweep columns, got {cases}");
 }
@@ -220,9 +218,8 @@ fn feature_set_generates_at_most_once_per_table_clean() {
         stats.feature_generations, 1,
         "FeatureSet must be generated exactly once per table clean: {stats:?}"
     );
-    // The row interner covered the table and the repair planner ran.
+    // The row interner covered the table.
     assert_eq!(stats.table_rows, 6);
-    assert!(stats.plan_error_rows >= 2);
 
     // The throwaway-session oracle generates once per *cleaned column* —
     // the duplicated work the session removes.
