@@ -14,7 +14,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::gazetteer::{Gazetteer, Hit};
+use datavinci_telemetry as telemetry;
+
+use crate::gazetteer::{FuzzyWork, Gazetteer, Hit};
 use crate::prompt::{parse_prompt_values, OUTPUT_MARKER};
 use crate::spans::{candidate_spans, Span};
 use crate::types::SemanticType;
@@ -218,11 +220,20 @@ impl GazetteerLlm {
     pub fn mask_column(&self, values: &[String]) -> Vec<String> {
         let pool = crate::intern::intern_values(values);
         // Pass 1 runs once per distinct value, through the hit memo.
+        let (mut swept, mut work) = (0u64, FuzzyWork::default());
         let all_hits: Vec<Vec<(Span, Hit)>> = pool
             .distinct
             .iter()
-            .map(|v| self.cache.get_or_compute(v, |v| self.value_hits(v)))
+            .map(|v| {
+                self.cache.get_or_compute(v, |v| {
+                    swept += 1;
+                    self.value_hits(v, &mut work)
+                })
+            })
             .collect();
+        telemetry::counter("mask.value_hits", swept);
+        telemetry::counter("gazetteer.fuzzy_lookups", work.lookups);
+        telemetry::counter("gazetteer.fuzzy_compares", work.compares);
         let masked = self.mask_values_weighted(&pool.distinct, &pool.counts, all_hits);
         pool.row_to_distinct
             .iter()
@@ -238,7 +249,9 @@ impl GazetteerLlm {
     fn mask_column_rowwise(&self, values: &[String]) -> Vec<String> {
         let refs: Vec<&str> = values.iter().map(String::as_str).collect();
         let weights = vec![1usize; refs.len()];
-        let all_hits: Vec<Vec<(Span, Hit)>> = refs.iter().map(|v| self.value_hits(v)).collect();
+        let mut work = FuzzyWork::default();
+        let all_hits: Vec<Vec<(Span, Hit)>> =
+            refs.iter().map(|v| self.value_hits(v, &mut work)).collect();
         self.mask_values_weighted(&refs, &weights, all_hits)
     }
 
@@ -311,7 +324,7 @@ impl GazetteerLlm {
             .collect()
     }
 
-    fn value_hits(&self, value: &str) -> Vec<(Span, Hit)> {
+    fn value_hits(&self, value: &str, work: &mut FuzzyWork) -> Vec<(Span, Hit)> {
         let chars: Vec<char> = value.chars().collect();
         let mut out = Vec::new();
         for span in candidate_spans(value) {
@@ -327,23 +340,10 @@ impl GazetteerLlm {
                     continue;
                 }
             }
-            let mut hits = self.gaz.lookup_fuzzy(&span.lookup);
-            if hits.is_empty() {
-                // Visual-typo inversion inside the span (Rh0de → Rhode).
-                let inverted = invert_visual_typos(&span.lookup);
-                if inverted != span.lookup {
-                    hits = self
-                        .gaz
-                        .lookup_fuzzy(&inverted)
-                        .into_iter()
-                        .map(|h| Hit {
-                            distance: h.distance.max(1),
-                            ..h
-                        })
-                        .collect();
-                }
-            }
-            for h in hits {
+            // Span lookups hold only letters and spaces, so visual typos
+            // (digits for letters: Rh0de) are left to the whole-value
+            // strategy below.
+            for h in self.gaz.lookup_fuzzy_counted(&span.lookup, work) {
                 if self.cfg.mask_types.contains(&h.semantic_type) {
                     out.push((span.clone(), h));
                 }
@@ -363,36 +363,29 @@ impl GazetteerLlm {
                 .chars()
                 .filter(|c| c.is_ascii_alphanumeric() || *c == ' ')
                 .collect();
-            for candidate in [stripped.clone(), invert_visual_typos(&stripped)] {
-                let trimmed = candidate.trim();
-                if trimmed.chars().count() < 4 {
-                    continue;
-                }
-                // Granularity guard (§3.2): a whole-value mask must not
-                // swallow residual digits — `dark green 2` is a color plus
-                // a number, not one concept.
-                if trimmed.chars().any(|c| c.is_ascii_digit()) {
-                    continue;
-                }
-                let hits = self.gaz.lookup_fuzzy(trimmed);
-                if !hits.is_empty() {
-                    let span = Span {
-                        start: 0,
-                        len: n_chars,
-                        lookup: trimmed.to_string(),
-                    };
-                    for h in hits {
-                        if self.cfg.mask_types.contains(&h.semantic_type) {
-                            out.push((
-                                span.clone(),
-                                Hit {
-                                    distance: h.distance.max(1),
-                                    ..h
-                                },
-                            ));
-                        }
+            // Inverting a value without digits changes nothing, so one
+            // lookup of the inverted surface covers the plain one too.
+            let inverted = invert_visual_typos(&stripped);
+            let trimmed = inverted.trim();
+            // Granularity guard (§3.2): a whole-value mask must not
+            // swallow residual digits — `dark green 2` is a color plus a
+            // number, not one concept.
+            if trimmed.chars().count() >= 4 && !trimmed.chars().any(|c| c.is_ascii_digit()) {
+                let span = Span {
+                    start: 0,
+                    len: n_chars,
+                    lookup: trimmed.to_string(),
+                };
+                for h in self.gaz.lookup_fuzzy_counted(trimmed, work) {
+                    if self.cfg.mask_types.contains(&h.semantic_type) {
+                        out.push((
+                            span.clone(),
+                            Hit {
+                                distance: h.distance.max(1),
+                                ..h
+                            },
+                        ));
                     }
-                    break;
                 }
             }
         }

@@ -11,6 +11,7 @@ use crate::llm::LanguageModel;
 use crate::prompt::build_prompts;
 use crate::types::SemanticType;
 use datavinci_regex::{MaskAlphabet, MaskId, MaskedString, Tok};
+use datavinci_telemetry as telemetry;
 
 /// One mask occurrence within a value.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -140,7 +141,10 @@ impl<L: LanguageModel> SemanticAbstractor<L> {
         let mut parsed: HashMap<String, MaskedValue> = HashMap::new();
         let mut out: Vec<MaskedValue> = vec![MaskedValue::default(); values.len()];
         for batch in batches {
-            let response = self.llm.complete(&batch.prompt);
+            let response = {
+                let _span = telemetry::span("mask.complete");
+                self.llm.complete(&batch.prompt)
+            };
             let lines: Vec<&str> = response.lines().collect();
             for (k, &row) in batch.rows.iter().enumerate() {
                 let masked_text = lines.get(k).copied().unwrap_or(values[row].as_str());

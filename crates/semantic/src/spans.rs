@@ -160,6 +160,50 @@ mod tests {
     }
 
     #[test]
+    fn lookups_are_ascii_letters_and_single_spaces() {
+        // Every string of up to four chars over letters, digits, the
+        // separators, and multibyte letters, plus longer mixed values.
+        // Lookups never hold a digit, so inverting visual typos inside a
+        // span would change nothing.
+        const CHARS: &[char] = &['a', 'Z', '0', '5', ' ', '.', '-', '_', 'é', 'İ'];
+        let (mut values, mut level) = (Vec::new(), vec![String::new()]);
+        for _ in 0..4 {
+            level = level
+                .iter()
+                .flat_map(|v| CHARS.iter().map(move |c| format!("{v}{c}")))
+                .collect();
+            values.extend(level.iter().cloned());
+        }
+        values.extend(
+            [
+                "Rh0de Island",
+                "u.k.-392",
+                "New  York City",
+                "a.b.c.",
+                "São Paulo",
+                "x1y2 z3",
+            ]
+            .map(String::from),
+        );
+        for value in &values {
+            for span in candidate_spans(value) {
+                assert!(
+                    !span.lookup.is_empty()
+                        && span
+                            .lookup
+                            .chars()
+                            .all(|c| c.is_ascii_alphabetic() || c == ' ')
+                        && !span.lookup.starts_with(' ')
+                        && !span.lookup.ends_with(' ')
+                        && !span.lookup.contains("  "),
+                    "{value:?} → {:?}",
+                    span.lookup
+                );
+            }
+        }
+    }
+
+    #[test]
     fn no_words_no_spans() {
         assert!(candidate_spans("12-34").is_empty());
         assert!(candidate_spans("").is_empty());
