@@ -16,6 +16,10 @@
 //! generated context. Decision trees are induced
 //! over *distinct* row feature vectors weighted by multiplicity
 //! ([`crate::dtree::learn_weighted`]), byte-identical to per-row expansion.
+//!
+//! A column repair trains a pattern on its first [`Concretizer::fillers`]
+//! call that has a hole to fill, so patterns no error row needs are never
+//! trained.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -25,6 +29,7 @@ use crate::config::DataVinciConfig;
 use crate::dtree::{learn_weighted, DecisionTree};
 use crate::edit::{AbstractRepair, Emit};
 use crate::features::FeatureSet;
+use crate::pipeline::ColumnAnalysis;
 use crate::session::AnalysisSession;
 use datavinci_profile::LearnedPattern;
 use datavinci_regex::{AtomId, AtomKey, MaskedString};
@@ -33,13 +38,15 @@ use datavinci_telemetry as telemetry;
 /// Training data and learned trees for one significant pattern.
 #[derive(Debug, Default)]
 struct PatternTraining {
-    /// (atom occurrence) → (row, consumed text) examples.
-    examples: HashMap<AtomKey, Vec<(usize, String)>>,
-    /// Pooled per-atom examples (all occurrences).
-    pooled: HashMap<AtomId, Vec<(usize, String)>>,
-    /// Learned trees (lazily), keyed by atom occurrence; `None` caches a
-    /// failed learn.
-    trees: HashMap<AtomKey, Option<(DecisionTree, Vec<String>)>>,
+    /// The distinct consumed texts; examples refer to them by id.
+    texts: Vec<String>,
+    /// (atom occurrence) → (row, text id) examples.
+    examples: HashMap<AtomKey, Vec<(usize, u32)>>,
+    /// Per-atom example counts over all occurrences, indexed by text id.
+    pooled: HashMap<AtomId, Vec<usize>>,
+    /// Learned trees (lazily), keyed by atom occurrence, with the text id
+    /// of each tree label; `None` caches a failed learn.
+    trees: HashMap<AtomKey, Option<(DecisionTree, Vec<u32>)>>,
 }
 
 /// The concretization engine for one column repair, reading its table-wide
@@ -49,6 +56,9 @@ pub struct Concretizer<'s, 't> {
     cfg: &'s DataVinciConfig,
     /// Per-pattern training state, keyed by caller-provided pattern index.
     training: HashMap<usize, PatternTraining>,
+    /// The column whose patterns [`Concretizer::fillers`] trains on first
+    /// use; `None` when the caller trains with [`Concretizer::train_pattern`].
+    column: Option<&'s ColumnAnalysis>,
 }
 
 impl<'s, 't> Concretizer<'s, 't> {
@@ -60,6 +70,21 @@ impl<'s, 't> Concretizer<'s, 't> {
             session,
             cfg,
             training: HashMap::new(),
+            column: None,
+        }
+    }
+
+    /// An engine that trains each of `analysis`'s patterns on its first
+    /// [`Concretizer::fillers`] call with a hole to fill, over the
+    /// pattern's rows minus the column's error rows.
+    pub(crate) fn for_column(
+        session: &'s AnalysisSession<'t>,
+        cfg: &'s DataVinciConfig,
+        analysis: &'s ColumnAnalysis,
+    ) -> Concretizer<'s, 't> {
+        Concretizer {
+            column: Some(analysis),
+            ..Concretizer::new(session, cfg)
         }
     }
 
@@ -73,8 +98,8 @@ impl<'s, 't> Concretizer<'s, 't> {
     /// masked column.
     ///
     /// Bindings are a pure function of the masked value, so the matching
-    /// walk runs once per *distinct* training value and duplicate rows
-    /// share its result.
+    /// walk runs once per *distinct* training value, its texts are interned
+    /// once, and duplicate rows share the result.
     pub fn train_pattern(
         &mut self,
         pattern_idx: usize,
@@ -85,8 +110,10 @@ impl<'s, 't> Concretizer<'s, 't> {
         if self.training.contains_key(&pattern_idx) {
             return;
         }
+        telemetry::counter("concretize.train_rows", rows.len() as u64);
         let mut t = PatternTraining::default();
-        let mut by_value: HashMap<&MaskedString, Option<Vec<(AtomKey, String)>>> = HashMap::new();
+        let mut ids: HashMap<String, u32> = HashMap::new();
+        let mut by_value: HashMap<&MaskedString, Option<Vec<(AtomKey, u32)>>> = HashMap::new();
         for &row in rows {
             let Some(value) = masked.get(row) else {
                 continue;
@@ -95,23 +122,28 @@ impl<'s, 't> Concretizer<'s, 't> {
                 pattern.compiled.bindings(value).map(|b| {
                     b.items
                         .into_iter()
-                        .map(|item| (item.key, item.text))
+                        .map(|item| {
+                            let next = ids.len() as u32;
+                            (item.key, *ids.entry(item.text).or_insert(next))
+                        })
                         .collect()
                 })
             });
             let Some(items) = items else {
                 continue;
             };
-            for (key, text) in items.iter() {
-                t.examples
-                    .entry(*key)
-                    .or_default()
-                    .push((row, text.clone()));
-                t.pooled
-                    .entry(key.atom)
-                    .or_default()
-                    .push((row, text.clone()));
+            for &(key, id) in items.iter() {
+                t.examples.entry(key).or_default().push((row, id));
+                let counts = t.pooled.entry(key.atom).or_default();
+                if counts.len() <= id as usize {
+                    counts.resize(id as usize + 1, 0);
+                }
+                counts[id as usize] += 1;
             }
+        }
+        t.texts = vec![String::new(); ids.len()];
+        for (text, id) in ids {
+            t.texts[id as usize] = text;
         }
         self.training.insert(pattern_idx, t);
     }
@@ -131,6 +163,7 @@ impl<'s, 't> Concretizer<'s, 't> {
         if holes.is_empty() {
             return vec![Vec::new()];
         }
+        self.train_on_first_use(pattern_idx);
         if self.cfg.learned_concretization {
             let tuple: Vec<String> = holes
                 .iter()
@@ -146,36 +179,40 @@ impl<'s, 't> Concretizer<'s, 't> {
         }
     }
 
+    /// Trains `pattern_idx` from the column, unless it is trained already
+    /// or the engine has no column.
+    fn train_on_first_use(&mut self, pattern_idx: usize) {
+        let Some(analysis) = self.column else {
+            return;
+        };
+        if self.training.contains_key(&pattern_idx) {
+            return;
+        }
+        let _span = telemetry::span("repair.train");
+        let lp = &analysis.profile.patterns[pattern_idx];
+        let rows: Vec<usize> = lp
+            .rows
+            .iter()
+            .copied()
+            .filter(|r| analysis.error_rows.binary_search(r).is_err())
+            .collect();
+        self.train_pattern(pattern_idx, lp, &rows, &analysis.masked);
+    }
+
     /// Predicts one hole's filler via tree → pooled majority → default.
     fn predict_hole(&mut self, pattern_idx: usize, error_row: usize, hole: &Emit) -> String {
         let key = hole_key(hole);
         if let Some(prediction) = self.tree_prediction(pattern_idx, error_row, key) {
-            if filler_valid(hole, &prediction) {
-                return prediction;
+            if filler_valid(hole, prediction) {
+                return prediction.to_string();
             }
         }
         if let Some(majority) = self.pooled_majority(pattern_idx, key.atom) {
-            if filler_valid(hole, &majority) {
-                return majority;
+            if filler_valid(hole, majority) {
+                return majority.to_string();
             }
         }
         default_filler(hole)
-    }
-
-    /// Learns (or fetches) the tree for one atom occurrence, returning the
-    /// cached slot.
-    fn ensure_tree(
-        &mut self,
-        pattern_idx: usize,
-        key: AtomKey,
-    ) -> Option<&Option<(DecisionTree, Vec<String>)>> {
-        let training = self.training.get_mut(&pattern_idx)?;
-        if !training.trees.contains_key(&key) {
-            let examples = training.examples.get(&key).map_or(&[][..], Vec::as_slice);
-            let learned = learn_tree(examples, self.session, self.cfg);
-            training.trees.insert(key, learned);
-        }
-        self.training.get(&pattern_idx)?.trees.get(&key)
     }
 
     fn tree_prediction(
@@ -183,33 +220,35 @@ impl<'s, 't> Concretizer<'s, 't> {
         pattern_idx: usize,
         error_row: usize,
         key: AtomKey,
-    ) -> Option<String> {
-        // One map lookup serves both the learn-miss check and the
-        // prediction, and the hot path borrows the cached tree/labels/
-        // features instead of cloning them per hole.
-        self.ensure_tree(pattern_idx, key);
-        let training = self.training.get(&pattern_idx)?;
-        let (tree, labels) = training.trees.get(&key)?.as_ref()?;
+    ) -> Option<&str> {
+        let training = self.training.get_mut(&pattern_idx)?;
+        let slot = training.trees.entry(key).or_insert_with(|| {
+            let examples = training.examples.get(&key).map_or(&[][..], Vec::as_slice);
+            learn_tree(examples, &training.texts, self.session, self.cfg)
+        });
+        let (tree, labels) = slot.as_ref()?;
         // Constant trees predict the same label for every row — skip the
         // (cross-column) feature computation entirely.
-        if let DecisionTree::Leaf(label) = tree {
-            return labels.get(*label as usize).cloned();
-        }
-        let f = self.session.row_features(error_row);
-        let label = tree.predict(&f) as usize;
-        labels.get(label).cloned()
+        let label = match tree {
+            DecisionTree::Leaf(label) => *label,
+            _ => tree.predict(&self.session.row_features(error_row)),
+        };
+        let id = *labels.get(label as usize)?;
+        Some(&training.texts[id as usize])
     }
 
-    fn pooled_majority(&self, pattern_idx: usize, atom: AtomId) -> Option<String> {
-        let pooled = self.training.get(&pattern_idx)?.pooled.get(&atom)?;
-        let mut counts: HashMap<&str, usize> = HashMap::new();
-        for (_, t) in pooled {
-            *counts.entry(t.as_str()).or_insert(0) += 1;
-        }
+    /// The atom's most frequent text over all occurrences (ties: the
+    /// smallest text).
+    fn pooled_majority(&self, pattern_idx: usize, atom: AtomId) -> Option<&str> {
+        let training = self.training.get(&pattern_idx)?;
+        let counts = training.pooled.get(&atom)?;
         counts
-            .into_iter()
-            .max_by_key(|&(t, c)| (c, std::cmp::Reverse(t)))
-            .map(|(t, _)| t.to_string())
+            .iter()
+            .enumerate()
+            .filter(|&(_, &c)| c > 0)
+            .map(|(id, &c)| (c, training.texts[id].as_str()))
+            .max_by_key(|&(c, t)| (c, std::cmp::Reverse(t)))
+            .map(|(_, t)| t)
     }
 
     /// Candidate fillers for the enumeration ablation: distinct observed
@@ -221,15 +260,22 @@ impl<'s, 't> Concretizer<'s, 't> {
             .get(&pattern_idx)
             .map(|t| {
                 let source = t.examples.get(&key).map(|v| v.as_slice()).unwrap_or(&[]);
-                let mut texts: Vec<String> = source.iter().map(|(_, t)| t.clone()).collect();
-                if texts.is_empty() {
-                    if let Some(pooled) = t.pooled.get(&key.atom) {
-                        texts = pooled.iter().map(|(_, t)| t.clone()).collect();
+                let mut ids: Vec<u32> = source.iter().map(|&(_, id)| id).collect();
+                if ids.is_empty() {
+                    if let Some(counts) = t.pooled.get(&key.atom) {
+                        ids = (0..counts.len() as u32)
+                            .filter(|&id| counts[id as usize] > 0)
+                            .collect();
                     }
                 }
+                ids.sort_unstable();
+                ids.dedup();
+                let mut texts: Vec<String> = ids
+                    .into_iter()
+                    .map(|id| t.texts[id as usize].clone())
+                    .filter(|text| filler_valid(hole, text))
+                    .collect();
                 texts.sort();
-                texts.dedup();
-                texts.retain(|t| filler_valid(hole, t));
                 texts
             })
             .unwrap_or_default();
@@ -241,7 +287,8 @@ impl<'s, 't> Concretizer<'s, 't> {
     }
 }
 
-/// Learns the decision tree for one atom occurrence's examples.
+/// Learns the decision tree for one atom occurrence's examples, returning
+/// it with the text id of each label (labels ordered by text).
 ///
 /// Examples are grouped by `(distinct table row, label)` — duplicate rows
 /// produce identical feature vectors, so the tree is induced over the
@@ -250,33 +297,41 @@ impl<'s, 't> Concretizer<'s, 't> {
 /// row-expanded induction). Feature vectors come from the session's
 /// table-wide memo, shared across patterns and columns.
 fn learn_tree(
-    examples: &[(usize, String)],
+    examples: &[(usize, u32)],
+    texts: &[String],
     session: &AnalysisSession<'_>,
     cfg: &DataVinciConfig,
-) -> Option<(DecisionTree, Vec<String>)> {
+) -> Option<(DecisionTree, Vec<u32>)> {
     if examples.len() < 2 {
         return None;
     }
-    let mut label_names: Vec<String> = examples.iter().map(|(_, t)| t.clone()).collect();
-    label_names.sort();
-    label_names.dedup();
-    if label_names.len() < 2 {
+    let mut ids: Vec<u32> = examples.iter().map(|&(_, id)| id).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    if ids.len() < 2 {
         // Constant label: a leaf is exact, and cheap to represent.
-        return Some((DecisionTree::Leaf(0), label_names));
+        return Some((DecisionTree::Leaf(0), ids));
+    }
+    // Labels number the distinct texts in text order.
+    let mut by_text = ids;
+    by_text.sort_unstable_by(|&a, &b| texts[a as usize].cmp(&texts[b as usize]));
+    let mut label_of = vec![0u32; texts.len()];
+    for (label, &id) in by_text.iter().enumerate() {
+        label_of[id as usize] = label as u32;
     }
     // Group in first-occurrence order; the representative row's feature
     // vector stands for every example of the group.
     let mut index: HashMap<(usize, u32), usize> = HashMap::new();
     let mut reps: Vec<(usize, u32)> = Vec::new();
     let mut weights: Vec<usize> = Vec::new();
-    for (row, text) in examples {
-        let di = session.distinct_row(*row);
-        let label = label_names.binary_search(text).expect("deduped") as u32;
+    for &(row, id) in examples {
+        let di = session.distinct_row(row);
+        let label = label_of[id as usize];
         match index.entry((di, label)) {
             Entry::Occupied(e) => weights[*e.get()] += 1,
             Entry::Vacant(e) => {
                 e.insert(reps.len());
-                reps.push((*row, label));
+                reps.push((row, label));
                 weights.push(1);
             }
         }
@@ -288,7 +343,7 @@ fn learn_tree(
     let rows: Vec<&[bool]> = vectors.iter().map(|v| &v[..]).collect();
     let labels: Vec<u32> = reps.iter().map(|&(_, label)| label).collect();
     let _span = telemetry::span("dtree.induce");
-    learn_weighted(&rows, &labels, &weights, &cfg.dtree).map(|t| (t, label_names))
+    learn_weighted(&rows, &labels, &weights, &cfg.dtree).map(|t| (t, by_text))
 }
 
 fn hole_key(hole: &Emit) -> AtomKey {
@@ -443,6 +498,120 @@ mod tests {
         // All fillers drawn from observed characters.
         for f in &fillers[0] {
             assert!(!f.is_empty());
+        }
+    }
+
+    /// Filler tuples keyed by (pattern, error row).
+    type Fills = Vec<((usize, usize), Vec<Vec<String>>)>;
+
+    /// Every (significant pattern, error row) fill of `col`, sorted by key.
+    /// The fills are asked for in key order (or its reverse) from a
+    /// concretizer trained eagerly (every pattern up front, as
+    /// `train_pattern` callers do) or lazily (on first use).
+    fn all_fills(
+        table: &Table,
+        col: usize,
+        cfg: &DataVinciConfig,
+        lazy: bool,
+        reverse: bool,
+    ) -> Fills {
+        let dv = crate::DataVinci::with_config(cfg.clone());
+        let session = dv.session(table);
+        let analysis = dv.analyze_column_in(&session, col);
+        let mut cz = if lazy {
+            Concretizer::for_column(&session, cfg, &analysis)
+        } else {
+            let mut cz = Concretizer::new(&session, cfg);
+            for &pi in &analysis.significant {
+                let lp = &analysis.profile.patterns[pi];
+                let rows: Vec<usize> = lp
+                    .rows
+                    .iter()
+                    .copied()
+                    .filter(|r| analysis.error_rows.binary_search(r).is_err())
+                    .collect();
+                cz.train_pattern(pi, lp, &rows, &analysis.masked);
+            }
+            cz
+        };
+        let mut pairs: Vec<(usize, usize)> = analysis
+            .significant
+            .iter()
+            .flat_map(|&pi| analysis.error_rows.iter().map(move |&row| (pi, row)))
+            .collect();
+        if reverse {
+            pairs.reverse();
+        }
+        let mut out: Fills = pairs
+            .into_iter()
+            .filter_map(|(pi, row)| {
+                let value = &analysis.masked[row];
+                let dag = analysis.profile.patterns[pi]
+                    .compiled
+                    .dag_for_len(value.len());
+                let program = crate::repair_dp::minimal_edit_program(&dag, value)?;
+                let repair = program.apply(value);
+                Some(((pi, row), cz.fillers(pi, row, &repair)))
+            })
+            .collect();
+        out.sort();
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(48))]
+
+        /// Training a pattern on its first `fillers` call, in any call
+        /// order, yields the fills of training every pattern up front. The
+        /// misspelled cities are semantic-only errors inside their
+        /// pattern's rows, so training must leave them out in both modes.
+        #[test]
+        fn lazy_training_equals_eager_training(
+            rows in proptest::collection::vec(
+                (
+                    proptest::prop_oneof!["Professional", "Qualifier", "Amateur"],
+                    proptest::prop_oneof![
+                        "[A-Z]{2}-[0-9]{3}-PRO",
+                        "[A-Z]{2}-[0-9]{3}-QUA",
+                        "[A-Z]{2}-[0-9]{3}-AMA",
+                        "[a-z]{2}_[0-9]{3}",
+                        "[A-Z]{2}[0-9]{3}",
+                        "Q[1-4]-20[0-9]{2}",
+                    ],
+                    proptest::prop_oneof![
+                        "Boston-[0-9]",
+                        "Miami-[0-9]",
+                        "Chicago-[0-9]",
+                        "Seattle-[0-9]",
+                        "Birminxham-[0-9]",
+                        "Bostn-[0-9]",
+                        "Miami-[a-z]",
+                        "Boston-[0-9]{2}",
+                    ],
+                ),
+                4..40,
+            ),
+            learned in 0u32..2,
+        ) {
+            let column = |name: &str, pick: fn(&(String, String, String)) -> &String| {
+                let texts: Vec<&str> = rows.iter().map(|r| pick(r).as_str()).collect();
+                Column::from_texts(name, &texts)
+            };
+            let table = Table::new(vec![
+                column("Category", |r| &r.0),
+                column("Player ID", |r| &r.1),
+                column("Office", |r| &r.2),
+            ]);
+            let cfg = if learned == 1 {
+                DataVinciConfig::default()
+            } else {
+                DataVinciConfig::ablation_no_learned_concretization()
+            };
+            for col in 1..3 {
+                let eager = all_fills(&table, col, &cfg, false, false);
+                proptest::prop_assert_eq!(&all_fills(&table, col, &cfg, true, false), &eager);
+                proptest::prop_assert_eq!(&all_fills(&table, col, &cfg, true, true), &eager);
+            }
         }
     }
 

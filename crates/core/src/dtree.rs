@@ -116,6 +116,11 @@ pub fn learn(rows: &[Vec<bool>], labels: &[u32], cfg: &DtreeConfig) -> Option<De
 /// truncate the tree in depth-first order, so every (depth, leaves) grid
 /// cell is a truncation of the grown tree; its accuracy sums the leaf
 /// histograms' majority counts.
+///
+/// The rows (which share one length) are transposed once into per-feature
+/// bitsets over the examples, and every node's example set is a bitset
+/// too, so the gain scan reads `feature & node` words instead of one
+/// `bool` per (example, feature).
 pub fn learn_weighted(
     rows: &[&[bool]],
     labels: &[u32],
@@ -132,25 +137,25 @@ pub fn learn_weighted(
     if total == 0 {
         return None;
     }
-    let data = Weighted {
-        rows,
-        labels,
-        weights,
-    };
     let n_labels = labels.iter().copied().max().unwrap_or(0) as usize + 1;
-    let indices: Vec<usize> = (0..rows.len()).collect();
     // Each leaf predicts one label, so no tree of at most `max_leaves`
     // leaves beats the mass of the top `max_leaves` labels: when that is
     // below α, no grid cell qualifies.
-    let mut counts = label_counts(&data, n_labels, &indices);
+    let mut counts = vec![0usize; n_labels];
+    for (&label, &weight) in labels.iter().zip(weights) {
+        counts[label as usize] += weight;
+    }
     counts.sort_unstable_by(|a, b| b.cmp(a));
     let reachable: usize = counts.iter().take(cfg.max_leaves).sum();
     if (reachable as f64 / total as f64) < cfg.alpha {
         return None;
     }
+    let data = Columns::transpose(rows, labels, weights);
     telemetry::counter("dtree.builds", 1);
+    telemetry::counter("dtree.examples", rows.len() as u64);
+    telemetry::counter("dtree.features", data.n_features as u64);
     let mut grown = Vec::new();
-    grow(&data, n_labels, &indices, cfg.max_depth, &mut grown);
+    grow(&data, n_labels, &data.root(), cfg.max_depth, &mut grown);
     smallest_accurate(cfg, |depth, budget| {
         let mut correct = 0;
         let tree = truncate(&grown, 0, depth, budget, &mut correct);
@@ -187,11 +192,75 @@ fn smallest_accurate(
         .min_by_key(|t| (t.n_nodes(), t.depth()))
 }
 
-/// The weighted training set greedy induction runs over.
-struct Weighted<'a> {
-    rows: &'a [&'a [bool]],
+/// The weighted training set, transposed to column-major feature bitsets.
+///
+/// Example `i` is bit `i % 64` of word `i / 64`; a node's example set is a
+/// bitset of `n_words` words in the same layout.
+struct Columns<'a> {
     labels: &'a [u32],
     weights: &'a [usize],
+    n_examples: usize,
+    n_features: usize,
+    n_words: usize,
+    /// `bits[f * n_words..][..n_words]` holds feature `f`'s column.
+    bits: Vec<u64>,
+}
+
+impl<'a> Columns<'a> {
+    fn transpose(rows: &[&[bool]], labels: &'a [u32], weights: &'a [usize]) -> Columns<'a> {
+        let n_examples = rows.len();
+        let n_features = rows[0].len();
+        let n_words = n_examples.div_ceil(64);
+        let mut bits = vec![0u64; n_features * n_words];
+        // One 64-example block at a time: gather each feature's word in a
+        // contiguous accumulator (a sequential, vectorizable pass per row),
+        // then scatter the finished words once.
+        let mut acc = vec![0u64; n_features];
+        for (word, block) in rows.chunks(64).enumerate() {
+            acc.iter_mut().for_each(|a| *a = 0);
+            for (shift, row) in block.iter().enumerate() {
+                for (a, &b) in acc.iter_mut().zip(&row[..n_features]) {
+                    *a |= u64::from(b) << shift;
+                }
+            }
+            for (f, &a) in acc.iter().enumerate() {
+                bits[f * n_words + word] = a;
+            }
+        }
+        Columns {
+            labels,
+            weights,
+            n_examples,
+            n_features,
+            n_words,
+            bits,
+        }
+    }
+
+    /// The set of every example.
+    fn root(&self) -> Vec<u64> {
+        let mut root = vec![u64::MAX; self.n_words];
+        let tail = self.n_examples % 64;
+        if tail != 0 {
+            root[self.n_words - 1] = (1u64 << tail) - 1;
+        }
+        root
+    }
+
+    fn column(&self, f: usize) -> &[u64] {
+        &self.bits[f * self.n_words..(f + 1) * self.n_words]
+    }
+
+    /// Adds the weight of every example in `set` to its label's count.
+    fn add_label_weights(&self, set: impl Iterator<Item = u64>, counts: &mut [usize]) {
+        for (w, mut word) in set.enumerate() {
+            while word != 0 {
+                let i = w * 64 + word.trailing_zeros() as usize;
+                counts[self.labels[i] as usize] += self.weights[i];
+                word &= word - 1;
+            }
+        }
+    }
 }
 
 /// One node of the tree grown without a leaf budget.
@@ -204,16 +273,17 @@ struct GrownNode {
     split: Option<(usize, usize, usize)>,
 }
 
-/// Grows the greedy tree over `indices` to `depth`, appending nodes in
-/// pre-order; returns the subtree root's index.
+/// Grows the greedy tree over the example set `node` to `depth`, appending
+/// nodes in pre-order; returns the subtree root's index.
 fn grow(
-    data: &Weighted<'_>,
+    data: &Columns<'_>,
     n_labels: usize,
-    indices: &[usize],
+    node: &[u64],
     depth: usize,
     nodes: &mut Vec<GrownNode>,
 ) -> usize {
-    let counts = label_counts(data, n_labels, indices);
+    let mut counts = vec![0usize; n_labels];
+    data.add_label_weights(node.iter().copied(), &mut counts);
     let majority = majority_of_counts(&counts);
     let id = nodes.len();
     nodes.push(GrownNode {
@@ -224,8 +294,10 @@ fn grow(
     if depth == 0 {
         return id;
     }
-    if let Some(feature) = best_split(data, indices, &counts) {
-        let (lo, hi) = partition(data, indices, feature);
+    if let Some(feature) = best_split(data, node, &counts) {
+        let col = data.column(feature);
+        let lo: Vec<u64> = node.iter().zip(col).map(|(&n, &c)| n & !c).collect();
+        let hi: Vec<u64> = node.iter().zip(col).map(|(&n, &c)| n & c).collect();
         let low = grow(data, n_labels, &lo, depth - 1, nodes);
         let high = grow(data, n_labels, &hi, depth - 1, nodes);
         nodes[id].split = Some((feature, low, high));
@@ -264,20 +336,6 @@ fn truncate(
     }
 }
 
-/// Label histogram over `indices`, as a dense vector (labels are compact
-/// indices into the caller's label table). Entropy sums floats, so counts
-/// are always consumed in ascending label order — a hash map's
-/// per-instance iteration order would make gain comparisons flip at ULP
-/// scale between otherwise identical `learn` calls, which must pick the
-/// *same* tree for the same examples.
-fn label_counts(data: &Weighted<'_>, n_labels: usize, indices: &[usize]) -> Vec<usize> {
-    let mut counts = vec![0usize; n_labels];
-    for &i in indices {
-        counts[data.labels[i] as usize] += data.weights[i];
-    }
-    counts
-}
-
 fn majority_of_counts(counts: &[usize]) -> u32 {
     counts
         .iter()
@@ -287,7 +345,12 @@ fn majority_of_counts(counts: &[usize]) -> u32 {
         .unwrap_or(0)
 }
 
-/// Entropy of a label histogram (counts in ascending label order).
+/// Entropy of a label histogram. Label histograms are dense vectors
+/// (labels are compact indices into the caller's label table) and entropy
+/// sums floats, so counts are always consumed in ascending label order — a
+/// hash map's per-instance iteration order would make gain comparisons
+/// flip at ULP scale between otherwise identical `learn` calls, which must
+/// pick the *same* tree for the same examples.
 fn entropy_of_counts(counts: &[usize], n: usize) -> f64 {
     if n == 0 {
         return 0.0;
@@ -303,10 +366,35 @@ fn entropy_of_counts(counts: &[usize], n: usize) -> f64 {
         .sum()
 }
 
-/// The feature with the highest information gain over `indices` (first
-/// wins ties), or `None` when the node is pure, holds fewer than two
-/// examples, or no feature gains. `counts` is the node's label histogram.
-fn best_split(data: &Weighted<'_>, indices: &[usize], counts: &[usize]) -> Option<usize> {
+/// The information gain of splitting a node with label histogram `counts`
+/// (`n` examples) into a true side `hi_counts` (`n_hi` examples), or `None`
+/// when one side is empty. `lo_counts` is scratch space.
+fn split_gain(
+    counts: &[usize],
+    n: usize,
+    base: f64,
+    hi_counts: &[usize],
+    n_hi: usize,
+    lo_counts: &mut [usize],
+) -> Option<f64> {
+    if n_hi == 0 || n_hi == n {
+        return None;
+    }
+    for ((lo, &all), &hi) in lo_counts.iter_mut().zip(counts).zip(hi_counts) {
+        *lo = all - hi;
+    }
+    let n_lo = n - n_hi;
+    Some(
+        base - (n_lo as f64 / n as f64) * entropy_of_counts(lo_counts, n_lo)
+            - (n_hi as f64 / n as f64) * entropy_of_counts(hi_counts, n_hi),
+    )
+}
+
+/// The feature with the highest information gain over the example set
+/// `node` (first wins ties), or `None` when the node is pure, holds fewer
+/// than two examples, or no feature gains. `counts` is the node's label
+/// histogram.
+fn best_split(data: &Columns<'_>, node: &[u64], counts: &[usize]) -> Option<usize> {
     // `n` is the *example* count (sum of weights): a single distinct vector
     // of weight ≥ 2 must behave exactly like its row-wise expansion.
     let n: usize = counts.iter().sum();
@@ -314,44 +402,25 @@ fn best_split(data: &Weighted<'_>, indices: &[usize], counts: &[usize]) -> Optio
     if pure || n < 2 {
         return None;
     }
-    let n_features = data.rows[indices[0]].len();
     let base = entropy_of_counts(counts, n);
-    // Gain scan over count histograms only; the index partition is built
+    // Gain scan over count histograms only; the node partition is built
     // once, for the winning feature.
     let mut best: Option<(f64, usize)> = None;
     let mut hi_counts = vec![0usize; counts.len()];
-    #[allow(clippy::needless_range_loop)] // `f` indexes the inner row dim
-    for f in 0..n_features {
+    let mut lo_counts = vec![0usize; counts.len()];
+    for f in 0..data.n_features {
         hi_counts.iter_mut().for_each(|c| *c = 0);
-        let mut n_hi = 0usize;
-        for &i in indices {
-            if data.rows[i][f] {
-                hi_counts[data.labels[i] as usize] += data.weights[i];
-                n_hi += data.weights[i];
-            }
-        }
-        if n_hi == 0 || n_hi == n {
+        let hi = data.column(f).iter().zip(node).map(|(&c, &n)| c & n);
+        data.add_label_weights(hi, &mut hi_counts);
+        let n_hi = hi_counts.iter().sum();
+        let Some(gain) = split_gain(counts, n, base, &hi_counts, n_hi, &mut lo_counts) else {
             continue;
-        }
-        let lo_counts: Vec<usize> = counts
-            .iter()
-            .zip(&hi_counts)
-            .map(|(&all, &hi)| all - hi)
-            .collect();
-        let n_lo = n - n_hi;
-        let gain = base
-            - (n_lo as f64 / n as f64) * entropy_of_counts(&lo_counts, n_lo)
-            - (n_hi as f64 / n as f64) * entropy_of_counts(&hi_counts, n_hi);
+        };
         if gain > 1e-12 && best.as_ref().is_none_or(|(g, _)| gain > *g) {
             best = Some((gain, f));
         }
     }
     best.map(|(_, feature)| feature)
-}
-
-/// Splits `indices` by `feature`: (false side, true side).
-fn partition(data: &Weighted<'_>, indices: &[usize], feature: usize) -> (Vec<usize>, Vec<usize>) {
-    indices.iter().partition(|&&i| !data.rows[i][feature])
 }
 
 #[cfg(test)]
@@ -362,9 +431,18 @@ mod tests {
         DtreeConfig::default()
     }
 
+    /// The weighted training set as the `bool` oracle reads it: row-major
+    /// feature vectors, node example sets as index lists.
+    struct Weighted<'a> {
+        rows: &'a [&'a [bool]],
+        labels: &'a [u32],
+        weights: &'a [usize],
+    }
+
     /// The per-cell learner [`learn_weighted`] replaced: a fresh greedy
-    /// [`build`] for every grid cell, scored by prediction. The oracle the
-    /// grown-and-truncated learner is proven against.
+    /// [`build`] for every grid cell over the row-major `bool` scan, scored
+    /// by prediction. The oracle the grown-and-truncated bitset learner is
+    /// proven against.
     fn learn_weighted_oracle(
         rows: &[&[bool]],
         labels: &[u32],
@@ -401,12 +479,13 @@ mod tests {
     ) -> DecisionTree {
         let counts = label_counts(data, n_labels, indices);
         let split = (depth_budget > 0 && *leaf_budget > 1)
-            .then(|| best_split(data, indices, &counts))
+            .then(|| best_split_oracle(data, indices, &counts))
             .flatten();
         let Some(feature) = split else {
             return DecisionTree::Leaf(majority_of_counts(&counts));
         };
-        let (lo, hi) = partition(data, indices, feature);
+        let (lo, hi): (Vec<usize>, Vec<usize>) =
+            indices.iter().partition(|&&i| !data.rows[i][feature]);
         // A split consumes one leaf slot and creates two.
         *leaf_budget -= 1;
         let low = build(data, n_labels, &lo, depth_budget - 1, leaf_budget);
@@ -416,6 +495,51 @@ mod tests {
             low: Box::new(low),
             high: Box::new(high),
         }
+    }
+
+    /// Label histogram over `indices`.
+    fn label_counts(data: &Weighted<'_>, n_labels: usize, indices: &[usize]) -> Vec<usize> {
+        let mut counts = vec![0usize; n_labels];
+        for &i in indices {
+            counts[data.labels[i] as usize] += data.weights[i];
+        }
+        counts
+    }
+
+    /// [`best_split`] as a scan of one `bool` per (example, feature) over
+    /// every feature.
+    fn best_split_oracle(
+        data: &Weighted<'_>,
+        indices: &[usize],
+        counts: &[usize],
+    ) -> Option<usize> {
+        let n: usize = counts.iter().sum();
+        let pure = counts.iter().filter(|&&c| c > 0).count() <= 1;
+        if pure || n < 2 {
+            return None;
+        }
+        let n_features = data.rows[indices[0]].len();
+        let base = entropy_of_counts(counts, n);
+        let mut best: Option<(f64, usize)> = None;
+        let mut hi_counts = vec![0usize; counts.len()];
+        let mut lo_counts = vec![0usize; counts.len()];
+        for f in 0..n_features {
+            hi_counts.iter_mut().for_each(|c| *c = 0);
+            let mut n_hi = 0usize;
+            for &i in indices {
+                if data.rows[i][f] {
+                    hi_counts[data.labels[i] as usize] += data.weights[i];
+                    n_hi += data.weights[i];
+                }
+            }
+            let Some(gain) = split_gain(counts, n, base, &hi_counts, n_hi, &mut lo_counts) else {
+                continue;
+            };
+            if gain > 1e-12 && best.as_ref().is_none_or(|(g, _)| gain > *g) {
+                best = Some((gain, f));
+            }
+        }
+        best.map(|(_, feature)| feature)
     }
 
     /// Weighted training accuracy (correct example weight / total weight).
@@ -435,12 +559,13 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
 
-        /// Growing once and truncating per grid cell (plus the
-        /// top-label-mass early exit) picks exactly the tree the per-cell
-        /// learner picks.
+        /// Growing once over feature bitsets and truncating per grid cell
+        /// (plus the top-label-mass early exit) picks exactly the tree the
+        /// per-cell `bool`-scan learner picks. Up to 199 examples, so node
+        /// sets span several 64-bit words.
         #[test]
         fn grown_and_truncated_equals_per_cell_builds(
-            examples in proptest::collection::vec((0u32..4096, 0u32..6, 0usize..4), 1..24),
+            examples in proptest::collection::vec((0u32..4096, 0u32..6, 0usize..4), 1..200),
             n_features in 1usize..13,
             n_labels in 2u32..7,
             alpha_pct in 50u32..101,
@@ -462,6 +587,38 @@ mod tests {
             proptest::prop_assert_eq!(
                 learn_weighted(&rows, &labels, &weights, &cfg),
                 learn_weighted_oracle(&rows, &labels, &weights, &cfg)
+            );
+        }
+
+        /// The bitset gain scan picks the feature the `bool` scan picks, for
+        /// random node subsets of up to 199 examples and 40 features.
+        #[test]
+        fn bitset_best_split_equals_bool_scan(
+            examples in proptest::collection::vec((0u64..u64::MAX, 0u32..5, 0usize..6, 0u32..3), 1..200),
+            n_features in 0usize..41,
+        ) {
+            let vectors: Vec<Vec<bool>> = examples
+                .iter()
+                .map(|&(bits, _, _, _)| (0..n_features).map(|f| bits >> f & 1 == 1).collect())
+                .collect();
+            let rows: Vec<&[bool]> = vectors.iter().map(Vec::as_slice).collect();
+            let labels: Vec<u32> = examples.iter().map(|&(_, l, _, _)| l).collect();
+            let weights: Vec<usize> = examples.iter().map(|&(_, _, w, _)| w).collect();
+            // About two thirds of the examples fall in the node.
+            let indices: Vec<usize> = (0..examples.len()).filter(|&i| examples[i].3 > 0).collect();
+            let oracle = Weighted { rows: &rows, labels: &labels, weights: &weights };
+            let counts = label_counts(&oracle, 5, &indices);
+            let data = Columns::transpose(&rows, &labels, &weights);
+            let mut node = vec![0u64; data.n_words];
+            for &i in &indices {
+                node[i / 64] |= 1 << (i % 64);
+            }
+            let mut bitset_counts = vec![0usize; 5];
+            data.add_label_weights(node.iter().copied(), &mut bitset_counts);
+            proptest::prop_assert_eq!(&bitset_counts, &counts);
+            proptest::prop_assert_eq!(
+                best_split(&data, &node, &counts),
+                best_split_oracle(&oracle, &indices, &counts)
             );
         }
     }

@@ -419,17 +419,9 @@ impl DataVinci {
                 .map(|r| values[r].as_str()),
         );
 
-        let mut concretizer = Concretizer::new(session, &self.cfg);
-        for &pi in &analysis.significant {
-            let lp = &analysis.profile.patterns[pi];
-            let training_rows: Vec<usize> = lp
-                .rows
-                .iter()
-                .copied()
-                .filter(|r| analysis.error_rows.binary_search(r).is_err())
-                .collect();
-            concretizer.train_pattern(pi, lp, &training_rows, &analysis.masked);
-        }
+        // Each significant pattern trains on the first error row whose
+        // repair against it has a hole to fill.
+        let mut concretizer = Concretizer::for_column(session, &self.cfg, analysis);
 
         for &row in &analysis.error_rows {
             report.detections.push(Detection {
@@ -467,13 +459,21 @@ impl DataVinci {
         let mut out: Vec<RepairCandidate> = Vec::new();
         for &pi in &analysis.significant {
             let lp = &analysis.profile.patterns[pi];
-            let dag = lp.compiled.dag_for_len(value.len());
-            let Some(program) = minimal_edit_program(&dag, value) else {
+            let program = {
+                let _span = telemetry::span("repair.dp");
+                let dag = lp.compiled.dag_for_len(value.len());
+                minimal_edit_program(&dag, value)
+            };
+            let Some(program) = program else {
                 continue;
             };
             let abstract_repair = program.apply(value);
             let alnum = program.alnum_edits(value);
-            for fillers in concretizer.fillers(pi, row, &abstract_repair) {
+            let all_fillers = {
+                let _span = telemetry::span("repair.fillers");
+                concretizer.fillers(pi, row, &abstract_repair)
+            };
+            for fillers in all_fillers {
                 let repaired_masked = abstract_repair.fill(&fillers);
                 let repaired = analysis.abstraction.concretize(row, &repaired_masked);
                 let props = CandidateProperties::measure(
@@ -643,6 +643,36 @@ mod tests {
         assert_eq!(report.detections.len(), 1);
         assert_eq!(report.repairs.len(), 1);
         assert_eq!(report.repairs[0].repaired, "Q3-2001", "{report:#?}");
+    }
+
+    #[test]
+    fn patterns_only_train_when_a_repair_has_a_hole() {
+        let trained_rows = |table: &Table, col: usize| {
+            let dv = DataVinci::new();
+            let (report, profile) = telemetry::collect(true, || dv.clean_column(table, col));
+            let rows = profile
+                .expect("collecting")
+                .metrics
+                .counters
+                .get("concretize.train_rows")
+                .copied()
+                .unwrap_or(0);
+            (report, rows)
+        };
+        // Q32001 → Q3-2001 inserts a literal '-': no hole to fill, so the
+        // significant pattern is never trained.
+        let quarters = Table::new(vec![Column::from_texts(
+            "Quarter",
+            &["Q4-2002", "Q3-2002", "Q1-2001", "Q2-2002", "Q32001"],
+        )]);
+        let (report, rows) = trained_rows(&quarters, 0);
+        assert_eq!(report.repairs[0].repaired, "Q3-2001", "{report:#?}");
+        assert_eq!(rows, 0);
+        // usa_837 → US-837-PRO fills holes, which trains the pattern on
+        // its five clean rows.
+        let (report, rows) = trained_rows(&figure2_table(), 1);
+        assert_eq!(report.repairs[0].repaired, "US-837-PRO", "{report:#?}");
+        assert_eq!(rows, 5);
     }
 
     #[test]

@@ -159,7 +159,9 @@ pub fn session_stats_json(stats: &SessionStats) -> Json {
 }
 
 /// Mirrors [`SessionStats`] into the unified metrics schema: every field
-/// becomes a `session.*` counter.
+/// becomes a `session.*` counter, except the shared mask cache's absolute
+/// size, which is the gauge `session.mask_cache_entries` (summing it over
+/// sessions would count the same entries once per session).
 ///
 /// This (plus [`cache_stats_into`]) is the canonical metrics mapping;
 /// [`session_stats_json`] and [`CacheStats::to_json`] render the same
@@ -173,7 +175,10 @@ pub fn session_stats_into(frame: &mut MetricsFrame, stats: &SessionStats) {
     frame.add_counter("session.table_rows", stats.table_rows);
     frame.add_counter("session.distinct_rows", stats.distinct_rows);
     frame.add_counter("session.column_types_memoized", stats.column_types_memoized);
-    frame.add_counter("session.mask_cache_entries", stats.mask_cache_entries);
+    frame.set_gauge(
+        "session.mask_cache_entries",
+        stats.mask_cache_entries as f64,
+    );
     frame.add_counter("session.mask_cache_hits", stats.mask_cache_hits);
     frame.add_counter("session.mask_cache_misses", stats.mask_cache_misses);
     frame.add_counter("session.extensions", stats.session_extensions);
@@ -304,6 +309,40 @@ mod tests {
         assert!(CacheOutcome::AnalysisHit.is_hit());
         assert!(CacheOutcome::AppendHit.is_hit());
         assert_eq!(CacheOutcome::ReportHit.label(), "report_hit");
+    }
+
+    #[test]
+    fn mask_cache_entries_is_a_gauge_not_summed_over_sessions() {
+        let first = SessionStats {
+            mask_cache_entries: 40,
+            mask_cache_misses: 40,
+            ..SessionStats::default()
+        };
+        let second = SessionStats {
+            mask_cache_entries: 55,
+            mask_cache_misses: 15,
+            ..SessionStats::default()
+        };
+        // Both sessions' stats folded into one frame, as the batch-level
+        // mirror does: the shared cache holds 55 entries, not 95.
+        let mut frame = MetricsFrame::new();
+        session_stats_into(&mut frame, &first);
+        session_stats_into(&mut frame, &second);
+        assert_eq!(frame.gauges.get("session.mask_cache_entries"), Some(&55.0));
+        assert!(!frame.counters.contains_key("session.mask_cache_entries"));
+        assert_eq!(frame.counters.get("session.mask_cache_misses"), Some(&55));
+        // Per-session frames merged into one profile, and the aggregated
+        // stats, both keep the absolute size.
+        let mut merged = MetricsFrame::new();
+        for stats in [&first, &second] {
+            let mut own = MetricsFrame::new();
+            session_stats_into(&mut own, stats);
+            merged.merge(&own);
+        }
+        assert_eq!(merged.gauges.get("session.mask_cache_entries"), Some(&55.0));
+        let mut total = first;
+        total.accumulate(&second);
+        assert_eq!(total.mask_cache_entries, 55);
     }
 
     #[test]
