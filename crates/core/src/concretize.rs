@@ -10,12 +10,13 @@
 //! Category-column constraint). Fallbacks: pooled-occurrence majority, then
 //! the class representative / first alternative.
 //!
-//! The concretizer reads all table-scoped state — the [`FeatureSet`],
-//! row feature vectors, table-level row interning — from the shared
-//! [`AnalysisSession`], so every column of a table works from one
-//! generated context. Decision trees are induced
-//! over *distinct* row feature vectors weighted by multiplicity
-//! ([`crate::dtree::learn_weighted`]), byte-identical to per-row expansion.
+//! The concretizer reads all table-scoped state — the [`FeatureSet`], the
+//! feature store's bitsets over distinct rows, table-level row interning —
+//! from the shared [`AnalysisSession`], so every column of a table works
+//! from one generated context. Decision trees are induced over *distinct*
+//! rows weighted by multiplicity, byte-identical to per-row expansion: the
+//! examples' feature bitsets are gathered straight from the store, and a
+//! prediction reads one store bit per tree node.
 //!
 //! A column repair trains a pattern on its first [`Concretizer::fillers`]
 //! call that has a hole to fill, so patterns no error row needs are never
@@ -23,16 +24,15 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use crate::config::DataVinciConfig;
-use crate::dtree::{learn_weighted, DecisionTree};
+use crate::dtree::{learn_gathered, DecisionTree};
 use crate::edit::{AbstractRepair, Emit};
 use crate::features::FeatureSet;
 use crate::pipeline::ColumnAnalysis;
 use crate::session::AnalysisSession;
 use datavinci_profile::LearnedPattern;
-use datavinci_regex::{AtomId, AtomKey, MaskedString};
+use datavinci_regex::{AtomId, AtomKey, BindingScratch, MaskedString};
 use datavinci_telemetry as telemetry;
 
 /// Training data and learned trees for one significant pattern.
@@ -50,7 +50,7 @@ struct PatternTraining {
 }
 
 /// The concretization engine for one column repair, reading its table-wide
-/// context (features, row vectors) from a shared [`AnalysisSession`].
+/// context (features, the feature store) from a shared [`AnalysisSession`].
 pub struct Concretizer<'s, 't> {
     session: &'s AnalysisSession<'t>,
     cfg: &'s DataVinciConfig,
@@ -98,8 +98,9 @@ impl<'s, 't> Concretizer<'s, 't> {
     /// masked column.
     ///
     /// Bindings are a pure function of the masked value, so the matching
-    /// walk runs once per *distinct* training value, its texts are interned
-    /// once, and duplicate rows share the result.
+    /// walk runs once per *distinct* training value, in one reused scratch
+    /// buffer; its texts are interned and its atom occurrences resolved to
+    /// example lists once, and duplicate rows share the result.
     pub fn train_pattern(
         &mut self,
         pattern_idx: usize,
@@ -111,36 +112,64 @@ impl<'s, 't> Concretizer<'s, 't> {
             return;
         }
         telemetry::counter("concretize.train_rows", rows.len() as u64);
-        let mut t = PatternTraining::default();
         let mut ids: HashMap<String, u32> = HashMap::new();
-        let mut by_value: HashMap<&MaskedString, Option<Vec<(AtomKey, u32)>>> = HashMap::new();
+        // Atom occurrences in first-binding order, with their example lists.
+        let mut slots: HashMap<AtomKey, usize> = HashMap::new();
+        let mut keys: Vec<AtomKey> = Vec::new();
+        let mut lists: Vec<Vec<(usize, u32)>> = Vec::new();
+        // Per distinct matching value: its (slot, text id) bindings and
+        // its training rows.
+        let mut values: Vec<(Vec<(usize, u32)>, usize)> = Vec::new();
+        let mut by_value: HashMap<&MaskedString, Option<usize>> = HashMap::new();
+        let mut scratch = BindingScratch::default();
+        let mut text = String::new();
         for &row in rows {
             let Some(value) = masked.get(row) else {
                 continue;
             };
-            let items = by_value.entry(value).or_insert_with(|| {
-                pattern.compiled.bindings(value).map(|b| {
-                    b.items
-                        .into_iter()
-                        .map(|item| {
-                            let next = ids.len() as u32;
-                            (item.key, *ids.entry(item.text).or_insert(next))
-                        })
-                        .collect()
-                })
+            let vi = *by_value.entry(value).or_insert_with(|| {
+                let spans = pattern.compiled.binding_spans(value, &mut scratch)?;
+                let items = spans.iter().map(|span| {
+                    text.clear();
+                    span.write_text(value, &mut text);
+                    let id = match ids.get(text.as_str()) {
+                        Some(&id) => id,
+                        None => {
+                            let id = ids.len() as u32;
+                            ids.insert(text.clone(), id);
+                            id
+                        }
+                    };
+                    let slot = *slots.entry(span.key).or_insert_with(|| {
+                        keys.push(span.key);
+                        lists.push(Vec::new());
+                        keys.len() - 1
+                    });
+                    (slot, id)
+                });
+                values.push((items.collect(), 0));
+                Some(values.len() - 1)
             });
-            let Some(items) = items else {
+            let Some(vi) = vi else {
                 continue;
             };
-            for &(key, id) in items.iter() {
-                t.examples.entry(key).or_default().push((row, id));
-                let counts = t.pooled.entry(key.atom).or_default();
+            let (items, n_rows) = &mut values[vi];
+            *n_rows += 1;
+            for &(slot, id) in items.iter() {
+                lists[slot].push((row, id));
+            }
+        }
+        let mut t = PatternTraining::default();
+        for (items, n_rows) in &values {
+            for &(slot, id) in items {
+                let counts = t.pooled.entry(keys[slot].atom).or_default();
                 if counts.len() <= id as usize {
                     counts.resize(id as usize + 1, 0);
                 }
-                counts[id as usize] += 1;
+                counts[id as usize] += n_rows;
             }
         }
+        t.examples = keys.into_iter().zip(lists).collect();
         t.texts = vec![String::new(); ids.len()];
         for (text, id) in ids {
             t.texts[id as usize] = text;
@@ -228,10 +257,14 @@ impl<'s, 't> Concretizer<'s, 't> {
         });
         let (tree, labels) = slot.as_ref()?;
         // Constant trees predict the same label for every row — skip the
-        // (cross-column) feature computation entirely.
+        // feature store entirely.
         let label = match tree {
             DecisionTree::Leaf(label) => *label,
-            _ => tree.predict(&self.session.row_features(error_row)),
+            _ => {
+                let store = self.session.feature_store();
+                let row = self.session.distinct_row(error_row);
+                tree.predict(|f| store.bit(f, row))
+            }
         };
         let id = *labels.get(label as usize)?;
         Some(&training.texts[id as usize])
@@ -291,11 +324,11 @@ impl<'s, 't> Concretizer<'s, 't> {
 /// it with the text id of each label (labels ordered by text).
 ///
 /// Examples are grouped by `(distinct table row, label)` — duplicate rows
-/// produce identical feature vectors, so the tree is induced over the
-/// distinct vectors weighted by multiplicity instead of materializing one
-/// vector per example row ([`learn_weighted`] is exactly equal to the
-/// row-expanded induction). Feature vectors come from the session's
-/// table-wide memo, shared across patterns and columns.
+/// have identical features, so the tree is induced over the distinct rows
+/// weighted by multiplicity instead of one example per row (exactly equal
+/// to the row-expanded induction). The groups' feature bitsets are
+/// gathered from the session's feature store, shared across patterns and
+/// columns.
 fn learn_tree(
     examples: &[(usize, u32)],
     texts: &[String],
@@ -319,31 +352,33 @@ fn learn_tree(
     for (label, &id) in by_text.iter().enumerate() {
         label_of[id as usize] = label as u32;
     }
-    // Group in first-occurrence order; the representative row's feature
-    // vector stands for every example of the group.
+    // Group in first-occurrence order.
     let mut index: HashMap<(usize, u32), usize> = HashMap::new();
-    let mut reps: Vec<(usize, u32)> = Vec::new();
+    let mut rows: Vec<usize> = Vec::new();
+    let mut labels: Vec<u32> = Vec::new();
     let mut weights: Vec<usize> = Vec::new();
     for &(row, id) in examples {
-        let di = session.distinct_row(row);
-        let label = label_of[id as usize];
-        match index.entry((di, label)) {
+        let key = (session.distinct_row(row), label_of[id as usize]);
+        match index.entry(key) {
             Entry::Occupied(e) => weights[*e.get()] += 1,
             Entry::Vacant(e) => {
-                e.insert(reps.len());
-                reps.push((row, label));
+                e.insert(rows.len());
+                rows.push(key.0);
+                labels.push(key.1);
                 weights.push(1);
             }
         }
     }
-    let vectors: Vec<Arc<[bool]>> = reps
-        .iter()
-        .map(|&(row, _)| session.row_features(row))
-        .collect();
-    let rows: Vec<&[bool]> = vectors.iter().map(|v| &v[..]).collect();
-    let labels: Vec<u32> = reps.iter().map(|&(_, label)| label).collect();
+    let store = session.feature_store();
     let _span = telemetry::span("dtree.induce");
-    learn_weighted(&rows, &labels, &weights, &cfg.dtree).map(|t| (t, by_text))
+    learn_gathered(
+        &labels,
+        &weights,
+        store.features().len(),
+        &cfg.dtree,
+        |bits| store.gather(&rows, bits),
+    )
+    .map(|t| (t, by_text))
 }
 
 fn hole_key(hole: &Emit) -> AtomKey {
@@ -499,6 +534,34 @@ mod tests {
         for f in &fillers[0] {
             assert!(!f.is_empty());
         }
+    }
+
+    #[test]
+    fn pooled_majority_counts_every_training_row() {
+        // "B1" three times outweighs "A2" and "A3": the pooled fallback
+        // counts training rows, not distinct values.
+        let table = Table::new(vec![Column::from_texts(
+            "c",
+            &["B1", "B1", "B1", "A2", "A3"],
+        )]);
+        let mut cfg = DataVinciConfig::default();
+        // No tree qualifies, so every hole takes the pooled majority.
+        cfg.dtree.alpha = 2.0;
+        let values: Vec<String> = table.column(0).unwrap().rendered();
+        let profile = profile_plain(&values, &ProfilerConfig::default());
+        let lp = &profile.patterns[0];
+        let session = AnalysisSession::new(&table);
+        let mut cz = Concretizer::new(&session, &cfg);
+        cz.train_pattern(0, lp, &lp.rows, &masked(&values));
+        let dag = lp.compiled.dag_for_len(0);
+        let program = crate::repair_dp::minimal_edit_program(&dag, &"".into()).unwrap();
+        let repair = program.apply(&"".into());
+        assert_eq!(
+            cz.fillers(0, 0, &repair),
+            vec![vec!["B".to_string(), "1".to_string()]],
+            "{}",
+            lp.pattern
+        );
     }
 
     /// Filler tuples keyed by (pattern, error row).

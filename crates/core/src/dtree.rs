@@ -48,16 +48,18 @@ pub enum DecisionTree {
 }
 
 impl DecisionTree {
-    /// Predicts the label for one feature vector.
-    pub fn predict(&self, features: &[bool]) -> u32 {
-        match self {
-            DecisionTree::Leaf(label) => *label,
-            DecisionTree::Split { feature, low, high } => {
-                if features.get(*feature).copied().unwrap_or(false) {
-                    high.predict(features)
-                } else {
-                    low.predict(features)
-                }
+    /// Predicts the label of an example whose feature `f` is `feature(f)`,
+    /// reading one feature per split on the path.
+    pub fn predict(&self, feature: impl Fn(usize) -> bool) -> u32 {
+        let mut node = self;
+        loop {
+            match node {
+                DecisionTree::Leaf(label) => return *label,
+                DecisionTree::Split {
+                    feature: f,
+                    low,
+                    high,
+                } => node = if feature(*f) { high } else { low },
             }
         }
     }
@@ -79,6 +81,7 @@ impl DecisionTree {
     }
 
     /// Training accuracy over a dataset.
+    #[cfg(test)]
     pub fn accuracy(&self, rows: &[Vec<bool>], labels: &[u32]) -> f64 {
         if rows.is_empty() {
             return 1.0;
@@ -86,7 +89,7 @@ impl DecisionTree {
         let correct = rows
             .iter()
             .zip(labels)
-            .filter(|(r, l)| self.predict(r) == **l)
+            .filter(|(r, l)| self.predict(|f| r[f]) == **l)
             .count();
         correct as f64 / rows.len() as f64
     }
@@ -94,13 +97,16 @@ impl DecisionTree {
 
 /// Learns the smallest α-accurate tree, or `None` if no tried budget
 /// reaches α (the concretizer then falls back to majority voting).
+#[cfg(test)]
 pub fn learn(rows: &[Vec<bool>], labels: &[u32], cfg: &DtreeConfig) -> Option<DecisionTree> {
     let refs: Vec<&[bool]> = rows.iter().map(Vec::as_slice).collect();
     let weights = vec![1usize; rows.len()];
     learn_weighted(&refs, labels, &weights, cfg)
 }
 
-/// [`learn`] over *distinct* feature vectors carrying multiplicities.
+/// Learns the smallest α-accurate tree over *distinct* feature vectors
+/// carrying multiplicities, or `None` if no tried budget reaches α (the
+/// concretizer then falls back to majority voting).
 ///
 /// `rows[i]` stands for `weights[i]` identical training examples with label
 /// `labels[i]`. Every quantity greedy induction reads — label histograms,
@@ -120,14 +126,36 @@ pub fn learn(rows: &[Vec<bool>], labels: &[u32], cfg: &DtreeConfig) -> Option<De
 /// The rows (which share one length) are transposed once into per-feature
 /// bitsets over the examples, and every node's example set is a bitset
 /// too, so the gain scan reads `feature & node` words instead of one
-/// `bool` per (example, feature).
+/// `bool` per (example, feature). The concretizer skips the transpose: it
+/// gathers the bitsets from the session's feature store
+/// (`learn_gathered`).
 pub fn learn_weighted(
     rows: &[&[bool]],
     labels: &[u32],
     weights: &[usize],
     cfg: &DtreeConfig,
 ) -> Option<DecisionTree> {
-    if rows.is_empty() || rows.len() != labels.len() || rows.len() != weights.len() {
+    if rows.len() != labels.len() {
+        return None;
+    }
+    let n_features = rows.first().map_or(0, |r| r.len());
+    learn_gathered(labels, weights, n_features, cfg, |bits| {
+        transpose(rows, n_features, bits)
+    })
+}
+
+/// [`learn_weighted`] over examples whose feature bitsets `fill` writes:
+/// feature-major, `labels.len().div_ceil(64)` words per feature, example
+/// `i` at bit `i % 64` of word `i / 64`. `fill` runs only when some tree
+/// can reach α.
+pub(crate) fn learn_gathered(
+    labels: &[u32],
+    weights: &[usize],
+    n_features: usize,
+    cfg: &DtreeConfig,
+    fill: impl FnOnce(&mut [u64]),
+) -> Option<DecisionTree> {
+    if labels.is_empty() || labels.len() != weights.len() {
         return None;
     }
     // An all-zero-weight input stands for the empty example set: behave
@@ -150,10 +178,12 @@ pub fn learn_weighted(
     if (reachable as f64 / total as f64) < cfg.alpha {
         return None;
     }
-    let data = Columns::transpose(rows, labels, weights);
+    let mut bits = vec![0u64; n_features * labels.len().div_ceil(64)];
+    fill(&mut bits);
+    let data = Columns::new(labels, weights, n_features, bits);
     telemetry::counter("dtree.builds", 1);
-    telemetry::counter("dtree.examples", rows.len() as u64);
-    telemetry::counter("dtree.features", data.n_features as u64);
+    telemetry::counter("dtree.examples", labels.len() as u64);
+    telemetry::counter("dtree.features", n_features as u64);
     let mut grown = Vec::new();
     grow(&data, n_labels, &data.root(), cfg.max_depth, &mut grown);
     smallest_accurate(cfg, |depth, budget| {
@@ -161,6 +191,26 @@ pub fn learn_weighted(
         let tree = truncate(&grown, 0, depth, budget, &mut correct);
         (tree, correct as f64 / total as f64)
     })
+}
+
+/// Transposes row-major `bool` vectors into [`learn_gathered`]'s layout.
+fn transpose(rows: &[&[bool]], n_features: usize, bits: &mut [u64]) {
+    let n_words = rows.len().div_ceil(64);
+    // One 64-example block at a time: gather each feature's word in a
+    // contiguous accumulator (a sequential, vectorizable pass per row),
+    // then scatter the finished words once.
+    let mut acc = vec![0u64; n_features];
+    for (word, block) in rows.chunks(64).enumerate() {
+        acc.iter_mut().for_each(|a| *a = 0);
+        for (shift, row) in block.iter().enumerate() {
+            for (a, &b) in acc.iter_mut().zip(&row[..n_features]) {
+                *a |= u64::from(b) << shift;
+            }
+        }
+        for (f, &a) in acc.iter().enumerate() {
+            bits[f * n_words + word] = a;
+        }
+    }
 }
 
 /// Scans the (depth, leaves) grid in ascending order, keeps every distinct
@@ -192,7 +242,7 @@ fn smallest_accurate(
         .min_by_key(|t| (t.n_nodes(), t.depth()))
 }
 
-/// The weighted training set, transposed to column-major feature bitsets.
+/// The weighted training set as column-major feature bitsets.
 ///
 /// Example `i` is bit `i % 64` of word `i / 64`; a node's example set is a
 /// bitset of `n_words` words in the same layout.
@@ -207,26 +257,10 @@ struct Columns<'a> {
 }
 
 impl<'a> Columns<'a> {
-    fn transpose(rows: &[&[bool]], labels: &'a [u32], weights: &'a [usize]) -> Columns<'a> {
-        let n_examples = rows.len();
-        let n_features = rows[0].len();
+    fn new(labels: &'a [u32], weights: &'a [usize], n_features: usize, bits: Vec<u64>) -> Self {
+        let n_examples = labels.len();
         let n_words = n_examples.div_ceil(64);
-        let mut bits = vec![0u64; n_features * n_words];
-        // One 64-example block at a time: gather each feature's word in a
-        // contiguous accumulator (a sequential, vectorizable pass per row),
-        // then scatter the finished words once.
-        let mut acc = vec![0u64; n_features];
-        for (word, block) in rows.chunks(64).enumerate() {
-            acc.iter_mut().for_each(|a| *a = 0);
-            for (shift, row) in block.iter().enumerate() {
-                for (a, &b) in acc.iter_mut().zip(&row[..n_features]) {
-                    *a |= u64::from(b) << shift;
-                }
-            }
-            for (f, &a) in acc.iter().enumerate() {
-                bits[f * n_words + word] = a;
-            }
-        }
+        debug_assert_eq!(bits.len(), n_features * n_words);
         Columns {
             labels,
             weights,
@@ -550,7 +584,7 @@ mod tests {
             .iter()
             .zip(data.labels)
             .zip(data.weights)
-            .filter(|((r, l), _)| tree.predict(r) == **l)
+            .filter(|((r, l), _)| tree.predict(|f| r[f]) == **l)
             .map(|(_, w)| w)
             .sum();
         correct as f64 / total as f64
@@ -608,7 +642,16 @@ mod tests {
             let indices: Vec<usize> = (0..examples.len()).filter(|&i| examples[i].3 > 0).collect();
             let oracle = Weighted { rows: &rows, labels: &labels, weights: &weights };
             let counts = label_counts(&oracle, 5, &indices);
-            let data = Columns::transpose(&rows, &labels, &weights);
+            // The bitsets are fed straight from the example words, as the
+            // feature store feeds them, not transposed from the vectors.
+            let n_words = examples.len().div_ceil(64);
+            let mut bits = vec![0u64; n_features * n_words];
+            for (i, &(word, _, _, _)) in examples.iter().enumerate() {
+                for f in (0..n_features).filter(|&f| word >> f & 1 == 1) {
+                    bits[f * n_words + i / 64] |= 1 << (i % 64);
+                }
+            }
+            let data = Columns::new(&labels, &weights, n_features, bits);
             let mut node = vec![0u64; data.n_words];
             for &i in &indices {
                 node[i / 64] |= 1 << (i % 64);
@@ -637,8 +680,8 @@ mod tests {
         let tree = learn(&rows, &labels, &cfg()).unwrap();
         assert_eq!(tree.depth(), 1);
         assert_eq!(tree.n_nodes(), 3);
-        assert_eq!(tree.predict(&[true, false]), 1);
-        assert_eq!(tree.predict(&[false, true]), 0);
+        assert_eq!(tree.predict(|f| [true, false][f]), 1);
+        assert_eq!(tree.predict(|f| [false, true][f]), 0);
         assert!((tree.accuracy(&rows, &labels) - 1.0).abs() < 1e-12);
     }
 

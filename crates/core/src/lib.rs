@@ -46,10 +46,10 @@ pub mod system;
 
 pub use concretize::Concretizer;
 pub use config::{DataVinciConfig, RankingMode, RepairStrategy, SemanticMode};
-pub use dtree::{learn, learn_weighted, DecisionTree, DtreeConfig};
+pub use dtree::{learn_weighted, DecisionTree, DtreeConfig};
 pub use edit::{AbstractRepair, EditAction, EditProgram, Emit, Slot};
 pub use exec_guided::ExecGuidedReport;
-pub use features::{FeatureSet, Predicate, RenderedTable};
+pub use features::{FeatureSet, Predicate};
 pub use persist::PersistError;
 pub use pipeline::{ColumnAnalysis, ColumnReport, DataVinci, TableReport};
 pub use ranker::{CandidateProperties, ClosestValues, RankerWeights};

@@ -880,7 +880,7 @@ mod tests {
     fn snapshot_roundtrip_resumes_on_grown_table() {
         let (dv, table) = analysis_fixture();
         let session = dv.session(&table);
-        let _ = session.row_features(0); // force feature generation
+        let _ = session.features(); // force feature generation
         let snapshot = session.into_snapshot();
         let mut buf = Vec::new();
         encode_snapshot(&snapshot, &mut buf);
@@ -895,7 +895,7 @@ mod tests {
         // And the skeleton actually resumes (lazy state rebuilt on use).
         let resumed = crate::AnalysisSession::resume(back, &table).expect("resumes");
         assert_eq!(resumed.stats().feature_generations, 0);
-        let _ = resumed.row_features(0);
+        let _ = resumed.features();
         assert_eq!(resumed.stats().feature_generations, 0, "features carried");
     }
 

@@ -3,8 +3,8 @@
 //! edit programs ③ → value constraints ④ → candidate repairs ⑤ →
 //! heuristic ranking ⑥.
 //!
-//! All table-scoped state — the rendered cell matrix, the generated
-//! [`crate::FeatureSet`], row feature vectors, per-column value pools, and
+//! All table-scoped state — the rendered table, the generated
+//! [`crate::FeatureSet`] and its feature store, per-column value pools, and
 //! the semantic memos — lives on an [`AnalysisSession`] created once per
 //! table clean and shared by every column (see [`DataVinci::clean_table`]).
 //! The table-taking entry points remain as thin wrappers that open a
@@ -513,8 +513,8 @@ impl DataVinci {
     }
 
     /// Cleans every sufficiently-textual column of a table through one
-    /// shared [`AnalysisSession`] — the rendered matrix, feature set, and
-    /// row feature vectors are built at most once for the whole table.
+    /// shared [`AnalysisSession`] — the rendered table, feature set, and
+    /// feature store are built at most once for the whole table.
     pub fn clean_table(&self, table: &Table) -> TableReport {
         let session = self.session(table);
         self.clean_table_in(&session)

@@ -8,11 +8,15 @@
 //! caches. An [`AnalysisSession`] is created once per table clean and owns
 //! everything that is a pure function of the table:
 //!
-//! * the **rendered/lowercased cell matrix** ([`RenderedTable`]) and the
-//!   [`FeatureSet`] generated from it — at most once per table, shared by
-//!   every column's concretizer and decision-tree learner;
-//! * **row feature vectors**, interned per *distinct table row* (rows equal
-//!   in every cell share one vector) and memoized across columns;
+//! * the **rendered table** (`RenderedTable`: every column's distinct
+//!   `(kind, rendered)` values and each row's value ids) and the
+//!   **distinct rows** interned from it (rows equal in every cell share
+//!   one index);
+//! * the **feature store**, built on first use: the [`FeatureSet`]
+//!   (generated at most once per table, or seeded), every predicate
+//!   evaluated once per distinct value of its column, and every distinct
+//!   row's feature bits as `u64` words — what every column's concretizer
+//!   gathers its decision-tree examples from and predicts on;
 //! * the per-column rendered **values** and [`ValuePool`]s the detection,
 //!   append and semantic layers key their sharing on;
 //! * a handle to the semantic [`MaskCache`] (per-value gazetteer sweeps,
@@ -29,29 +33,27 @@
 //! instead of rebuilding everything, [`AnalysisSession::into_snapshot`]
 //! detaches the owned state from the table borrow and
 //! [`AnalysisSession::resume`] re-attaches it to the grown table, extending
-//! the rendered matrix, the row interner, and every memoized value vector
-//! and [`ValuePool`] in place. This is what the streaming engine rides:
-//! each chunk resumes the previous chunk's session rather than re-rendering
-//! and re-interning the whole prefix.
+//! the rendered table, the row interner, the feature store, and every
+//! memoized value vector and [`ValuePool`] in place. This is what the
+//! streaming engine rides: each chunk resumes the previous chunk's session
+//! rather than re-rendering and re-interning the whole prefix.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::features::{FeatureSet, RenderedTable};
+use crate::features::{FeatureSet, FeatureStore, RenderedTable};
 use datavinci_semantic::{ColumnTypeMemo, Gazetteer, MaskCache, TypeDetection};
-use datavinci_table::{ArenaInterner, CellValue, Table, ValuePool};
+use datavinci_table::{CellValue, Table, ValuePool};
 
 /// A snapshot of one session's reuse counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionStats {
     /// Times [`FeatureSet`] generation ran (at most 1 per session).
     pub feature_generations: u64,
-    /// Distinct row feature vectors computed.
+    /// Distinct table rows materialized in the feature store (counted
+    /// when the store is built and as it is extended over appended rows).
     pub feature_rows_computed: u64,
-    /// Row feature lookups served from the memo (duplicate rows, repeat
-    /// lookups across patterns and columns).
-    pub feature_row_hits: u64,
     /// Per-column value pools interned.
     pub pools_built: u64,
     /// Pool lookups served from the memo.
@@ -86,7 +88,6 @@ impl SessionStats {
     pub fn accumulate(&mut self, other: &SessionStats) {
         self.feature_generations += other.feature_generations;
         self.feature_rows_computed += other.feature_rows_computed;
-        self.feature_row_hits += other.feature_row_hits;
         self.pools_built += other.pools_built;
         self.pools_reused += other.pools_reused;
         self.table_rows += other.table_rows;
@@ -105,7 +106,6 @@ impl SessionStats {
 struct Counters {
     feature_generations: AtomicU64,
     feature_rows_computed: AtomicU64,
-    feature_row_hits: AtomicU64,
     pools_built: AtomicU64,
     pools_reused: AtomicU64,
     session_extensions: AtomicU64,
@@ -113,23 +113,20 @@ struct Counters {
 }
 
 /// Table-level row interning: rows equal in every cell (kind *and* rendered
-/// text) share a distinct-row index, and therefore one feature vector and
-/// one weighted decision-tree example.
+/// text) share a distinct-row index, and therefore one set of feature bits
+/// and one weighted decision-tree example.
 ///
+/// Rows are keyed by their per-column value ids in the [`RenderedTable`].
 /// The key → index map is retained (not just the counts) so appended rows
 /// can be interned incrementally: existing rows keep their distinct index,
-/// which is what keeps the session's per-distinct-row feature memo valid
-/// across [`AnalysisSession::resume`].
-///
-/// Keys live in an [`ArenaInterner`], and the interning loop renders each
-/// key into one reused buffer — interning N rows costs O(distinct) string
-/// storage instead of one `String` per row. Ids come out in
-/// first-occurrence order, exactly as the former `HashMap` + `or_insert`
-/// numbering did.
+/// which is what keeps the feature store valid across
+/// [`AnalysisSession::resume`]. Indices come out in first-occurrence order.
 #[derive(Debug, Default)]
 struct RowPool {
-    index: ArenaInterner,
+    index: HashMap<Vec<u32>, usize>,
     row_to_distinct: Vec<usize>,
+    /// The first table row of each distinct row.
+    first_rows: Vec<usize>,
 }
 
 impl RowPool {
@@ -139,20 +136,28 @@ impl RowPool {
         pool
     }
 
-    /// Interns rows `from_row..` of the (already extended) rendered matrix.
+    /// Interns rows `from_row..` of the (already extended) rendered table.
     fn extend(&mut self, rendered: &RenderedTable, from_row: usize) {
         debug_assert_eq!(from_row, self.row_to_distinct.len());
         self.row_to_distinct.reserve(rendered.n_rows() - from_row);
-        let mut key = String::new();
+        let mut key = Vec::new();
         for row in from_row..rendered.n_rows() {
-            key.clear();
-            rendered.write_row_key(row, &mut key);
-            self.row_to_distinct.push(self.index.intern(&key) as usize);
+            rendered.write_row_ids(row, &mut key);
+            let distinct = match self.index.get(key.as_slice()) {
+                Some(&d) => d,
+                None => {
+                    let d = self.first_rows.len();
+                    self.index.insert(key.clone(), d);
+                    self.first_rows.push(row);
+                    d
+                }
+            };
+            self.row_to_distinct.push(distinct);
         }
     }
 
     fn n_distinct(&self) -> usize {
-        self.index.len()
+        self.first_rows.len()
     }
 }
 
@@ -160,10 +165,12 @@ impl RowPool {
 pub struct AnalysisSession<'t> {
     table: &'t Table,
     rendered: OnceLock<RenderedTable>,
-    features: OnceLock<Arc<FeatureSet>>,
+    /// A feature set adopted before the store was built (engine cache,
+    /// persisted or resumed snapshot); the store evaluates it instead of
+    /// generating one.
+    seeded: OnceLock<Arc<FeatureSet>>,
+    store: OnceLock<FeatureStore>,
     row_pool: OnceLock<RowPool>,
-    /// Distinct-row index → feature vector.
-    row_features: Mutex<HashMap<usize, Arc<[bool]>>>,
     /// Column index → rendered values.
     values: Mutex<HashMap<usize, Arc<Vec<String>>>>,
     /// Column index → interned value pool.
@@ -192,9 +199,9 @@ impl<'t> AnalysisSession<'t> {
         AnalysisSession {
             table,
             rendered: OnceLock::new(),
-            features: OnceLock::new(),
+            seeded: OnceLock::new(),
+            store: OnceLock::new(),
             row_pool: OnceLock::new(),
-            row_features: Mutex::new(HashMap::new()),
             values: Mutex::new(HashMap::new()),
             pools: Mutex::new(HashMap::new()),
             mask_cache,
@@ -209,20 +216,43 @@ impl<'t> AnalysisSession<'t> {
         self.table
     }
 
-    /// The rendered/lowercased cell matrix (built on first use).
+    /// The rendered table (built on first use).
     fn rendered(&self) -> &RenderedTable {
-        self.rendered.get_or_init(|| RenderedTable::new(self.table))
+        self.rendered.get_or_init(|| {
+            let _span = datavinci_telemetry::span("session.render");
+            RenderedTable::new(self.table)
+        })
     }
 
     /// The table's feature set — generated at most once per session, or
-    /// adopted from [`AnalysisSession::seed_features`].
+    /// adopted from [`AnalysisSession::seed_features`]. Builds the feature
+    /// store.
     pub fn features(&self) -> &FeatureSet {
-        self.features.get_or_init(|| {
-            let _span = datavinci_telemetry::span("session.generate_features");
+        self.feature_store().features()
+    }
+
+    /// The feature store (built on first use): the session's feature set
+    /// evaluated over every distinct row.
+    pub(crate) fn feature_store(&self) -> &FeatureStore {
+        self.store.get_or_init(|| {
+            let rendered = self.rendered();
+            let reps = &self.row_pool().first_rows;
+            let (features, truths) = match self.seeded.get() {
+                Some(features) => (Arc::clone(features), None),
+                None => {
+                    let _span = datavinci_telemetry::span("session.generate_features");
+                    self.counters
+                        .feature_generations
+                        .fetch_add(1, Ordering::Relaxed);
+                    let (features, truths) = FeatureSet::generate_rendered(self.table, rendered);
+                    (Arc::new(features), Some(truths))
+                }
+            };
+            let _span = datavinci_telemetry::span("session.feature_store");
             self.counters
-                .feature_generations
-                .fetch_add(1, Ordering::Relaxed);
-            Arc::new(FeatureSet::generate_rendered(self.table, self.rendered()))
+                .feature_rows_computed
+                .fetch_add(reps.len() as u64, Ordering::Relaxed);
+            FeatureStore::new(features, truths, rendered, reps)
         })
     }
 
@@ -230,12 +260,17 @@ impl<'t> AnalysisSession<'t> {
     /// Sound only for a table identical to the one the set was generated
     /// from; no-op if this session already has features.
     pub fn seed_features(&self, features: Arc<FeatureSet>) {
-        let _ = self.features.set(features);
+        if self.store.get().is_none() {
+            let _ = self.seeded.set(features);
+        }
     }
 
     /// The feature set, if one was generated or seeded (for caching).
     pub fn features_arc(&self) -> Option<Arc<FeatureSet>> {
-        self.features.get().cloned()
+        match self.store.get() {
+            Some(store) => Some(Arc::clone(store.features())),
+            None => self.seeded.get().cloned(),
+        }
     }
 
     /// The distinct-row index of `row` (table-level row interning).
@@ -249,42 +284,11 @@ impl<'t> AnalysisSession<'t> {
     }
 
     fn row_pool(&self) -> &RowPool {
-        self.row_pool
-            .get_or_init(|| RowPool::build(self.rendered()))
-    }
-
-    /// The feature vector of `row`, computed once per *distinct* table row
-    /// and shared across duplicate rows, patterns, and columns.
-    ///
-    /// Evaluation happens *outside* the memo lock: the engine's workers
-    /// repair the columns of one table through one shared session, and the
-    /// concretization hot path must not serialize on a mutex held across
-    /// feature generation. Two threads racing on the same distinct row may
-    /// both evaluate; the first insert wins and both results are equal
-    /// (feature evaluation is pure).
-    pub fn row_features(&self, row: usize) -> Arc<[bool]> {
-        let di = self.distinct_row(row);
-        if let Some(hit) = self.row_features.lock().expect("session poisoned").get(&di) {
-            self.counters
-                .feature_row_hits
-                .fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(hit);
-        }
-        let computed: Arc<[bool]> = self
-            .features()
-            .row_features_rendered(self.rendered(), row)
-            .into();
-        let mut map = self.row_features.lock().expect("session poisoned");
-        match map.get(&di) {
-            Some(existing) => Arc::clone(existing),
-            None => {
-                self.counters
-                    .feature_rows_computed
-                    .fetch_add(1, Ordering::Relaxed);
-                map.insert(di, Arc::clone(&computed));
-                computed
-            }
-        }
+        self.row_pool.get_or_init(|| {
+            let rendered = self.rendered();
+            let _span = datavinci_telemetry::span("session.intern_rows");
+            RowPool::build(rendered)
+        })
     }
 
     /// Column `col`'s rendered values, computed once per session.
@@ -365,7 +369,6 @@ impl<'t> AnalysisSession<'t> {
         SessionStats {
             feature_generations: self.counters.feature_generations.load(Ordering::Relaxed),
             feature_rows_computed: self.counters.feature_rows_computed.load(Ordering::Relaxed),
-            feature_row_hits: self.counters.feature_row_hits.load(Ordering::Relaxed),
             pools_built: self.counters.pools_built.load(Ordering::Relaxed),
             pools_reused: self.counters.pools_reused.load(Ordering::Relaxed),
             table_rows: self
@@ -402,9 +405,9 @@ impl<'t> AnalysisSession<'t> {
                 .map(|c| c.fingerprint())
                 .collect(),
             rendered: self.rendered.into_inner(),
-            features: self.features.into_inner(),
+            seeded: self.seeded.into_inner(),
+            store: self.store.into_inner(),
             row_pool: self.row_pool.into_inner(),
-            row_features: self.row_features.into_inner().expect("session poisoned"),
             values: self.values.into_inner().expect("session poisoned"),
             pools: self.pools.into_inner().expect("session poisoned"),
             mask_cache: self.mask_cache,
@@ -416,13 +419,14 @@ impl<'t> AnalysisSession<'t> {
     /// Re-attaches a snapshot to `table`, which must be the snapshot's
     /// table plus zero or more appended rows ([`SessionSnapshot::resumable_for`]).
     ///
-    /// The rendered matrix, row interner, memoized value vectors, and value
-    /// pools are *extended* over the appended rows — prior rows are never
-    /// re-rendered or re-interned. The feature set (if generated) is kept
-    /// as-is: resumed cleaning re-scores the previously learned features
-    /// against the appended rows, exactly like the engine's append-only
-    /// cache arm; callers wanting fresh features on drift simply start a
-    /// new session.
+    /// The rendered table, row interner, feature store, memoized value
+    /// vectors, and value pools are *extended* over the appended rows —
+    /// prior rows are never re-rendered or re-interned, and the store
+    /// evaluates only the appended values. The feature set (if generated)
+    /// is kept as-is: resumed cleaning re-scores the previously learned
+    /// features against the appended rows, exactly like the engine's
+    /// append-only cache arm; callers wanting fresh features on drift
+    /// simply start a new session.
     pub fn resume(
         snapshot: SessionSnapshot,
         table: &'t Table,
@@ -434,9 +438,9 @@ impl<'t> AnalysisSession<'t> {
         let SessionSnapshot {
             n_rows: prior_rows,
             mut rendered,
-            features,
+            seeded,
+            mut store,
             mut row_pool,
-            row_features,
             mut values,
             mut pools,
             mask_cache,
@@ -451,8 +455,17 @@ impl<'t> AnalysisSession<'t> {
         if let Some(p) = row_pool.as_mut() {
             let r = rendered
                 .as_ref()
-                .expect("a row pool implies a rendered matrix");
+                .expect("a row pool implies a rendered table");
+            let prior_distinct = p.n_distinct();
             p.extend(r, prior_rows);
+            // A store implies a row pool (its rows are the pool's).
+            if let Some(store) = store.as_mut() {
+                let _span = datavinci_telemetry::span("session.feature_store");
+                store.extend(r, &p.first_rows);
+                counters
+                    .feature_rows_computed
+                    .fetch_add((p.n_distinct() - prior_distinct) as u64, Ordering::Relaxed);
+            }
         }
         let appended_rendered = |col: usize| -> Vec<String> {
             let column = table.column(col).expect("column count verified");
@@ -485,9 +498,9 @@ impl<'t> AnalysisSession<'t> {
         Ok(AnalysisSession {
             table,
             rendered: into_lock(rendered),
-            features: into_lock(features),
+            seeded: into_lock(seeded),
+            store: into_lock(store),
             row_pool: into_lock(row_pool),
-            row_features: Mutex::new(row_features),
             values: Mutex::new(values),
             pools: Mutex::new(pools),
             mask_cache,
@@ -513,9 +526,9 @@ pub struct SessionSnapshot {
     n_rows: usize,
     column_prints: Vec<u64>,
     rendered: Option<RenderedTable>,
-    features: Option<Arc<FeatureSet>>,
+    seeded: Option<Arc<FeatureSet>>,
+    store: Option<FeatureStore>,
     row_pool: Option<RowPool>,
-    row_features: HashMap<usize, Arc<[bool]>>,
     values: HashMap<usize, Arc<Vec<String>>>,
     pools: HashMap<usize, Arc<ValuePool>>,
     mask_cache: Arc<MaskCache>,
@@ -527,11 +540,11 @@ impl SessionSnapshot {
     /// Rebuilds a snapshot from its persistable parts (headers, row count,
     /// column fingerprints, and the learned feature set).
     ///
-    /// The derived state a live session also carries — rendered matrix, row
-    /// interner, value vectors, pools — is intentionally absent: it is a
-    /// pure function of the table and is rebuilt lazily on first use after
-    /// [`AnalysisSession::resume`], exactly like a session that never
-    /// touched it. This is what the engine's durable artifact store writes
+    /// The derived state a live session also carries — rendered table, row
+    /// interner, feature store, value vectors, pools — is intentionally
+    /// absent: it is a pure function of the table and is rebuilt lazily on
+    /// first use after [`AnalysisSession::resume`], exactly like a session
+    /// that never touched it. This is what the engine's durable artifact store writes
     /// to disk: the part that is *learned* (features) plus the part that
     /// *validates* resumption (shape + fingerprints).
     pub fn from_parts(
@@ -547,9 +560,9 @@ impl SessionSnapshot {
             n_rows,
             column_prints,
             rendered: None,
-            features,
+            seeded: features,
+            store: None,
             row_pool: None,
-            row_features: HashMap::new(),
             values: HashMap::new(),
             pools: HashMap::new(),
             mask_cache,
@@ -570,7 +583,10 @@ impl SessionSnapshot {
 
     /// The feature set carried by the snapshot, if one was generated.
     pub fn features(&self) -> Option<&Arc<FeatureSet>> {
-        self.features.as_ref()
+        match &self.store {
+            Some(store) => Some(store.features()),
+            None => self.seeded.as_ref(),
+        }
     }
 
     /// Rows the snapshot's table had when it was taken.
@@ -644,7 +660,7 @@ impl std::error::Error for SessionResumeError {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use datavinci_table::Column;
+    use datavinci_table::{Column, ErrorValue};
 
     fn table() -> Table {
         Table::new(vec![
@@ -653,26 +669,34 @@ mod tests {
         ])
     }
 
+    /// `row`'s feature bits as the session's store holds them.
+    fn store_row(s: &AnalysisSession<'_>, row: usize) -> Vec<bool> {
+        let store = s.feature_store();
+        let d = s.distinct_row(row);
+        (0..store.features().len())
+            .map(|f| store.bit(f, d))
+            .collect()
+    }
+
     #[test]
-    fn features_generate_once_and_memoize_rows() {
+    fn features_generate_once_and_store_distinct_rows() {
         let t = table();
         let s = AnalysisSession::new(&t);
         assert_eq!(s.stats().feature_generations, 0, "lazy until first use");
-        let f0 = s.row_features(0);
-        let f2 = s.row_features(2);
-        let f3 = s.row_features(2);
+        let f0 = store_row(&s, 0);
+        let f2 = store_row(&s, 2);
         assert_eq!(s.stats().feature_generations, 1);
-        // Rows 0, 2, 3 are identical → one shared vector.
-        assert!(Arc::ptr_eq(&f0, &f2) && Arc::ptr_eq(&f2, &f3));
+        // Rows 0, 2, 3 are identical → one distinct row.
+        assert_eq!(f0, f2);
+        assert_eq!(s.distinct_row(0), s.distinct_row(3));
         let stats = s.stats();
-        assert_eq!(stats.feature_rows_computed, 1);
-        assert_eq!(stats.feature_row_hits, 2);
+        assert_eq!(stats.feature_rows_computed, 2, "both distinct rows, once");
         assert_eq!(stats.table_rows, 4);
         assert_eq!(stats.distinct_rows, 2);
-        // And the vectors equal the non-session reference path.
+        // And the bits equal the non-session reference path.
         let fs = FeatureSet::generate(&t);
-        assert_eq!(&f0[..], &fs.row_features(&t, 0)[..]);
-        assert_eq!(&s.row_features(1)[..], &fs.row_features(&t, 1)[..]);
+        assert_eq!(f0, fs.row_features(&t, 0));
+        assert_eq!(store_row(&s, 1), fs.row_features(&t, 1));
     }
 
     #[test]
@@ -680,7 +704,7 @@ mod tests {
         let t = table();
         let s = AnalysisSession::new(&t);
         s.seed_features(Arc::new(FeatureSet::generate(&t)));
-        let _ = s.row_features(0);
+        let _ = s.features();
         assert_eq!(s.stats().feature_generations, 0);
         assert!(s.features_arc().is_some());
     }
@@ -732,7 +756,7 @@ mod tests {
         let grown = grown_table();
 
         let s = AnalysisSession::new(&small);
-        let _ = s.row_features(0);
+        let _ = s.features();
         let _ = s.value_pool(1);
         let _ = s.column_values(0);
         let prior_features = s.features_arc().expect("generated");
@@ -752,11 +776,11 @@ mod tests {
         for row in 0..grown.n_rows() {
             assert_eq!(s.distinct_row(row), fresh.distinct_row(row), "row {row}");
         }
-        // Appended row features evaluate against the carried feature set.
+        // Appended rows evaluate against the carried feature set.
         for row in 0..grown.n_rows() {
             assert_eq!(
-                &s.row_features(row)[..],
-                &prior_features.row_features(&grown, row)[..],
+                store_row(&s, row),
+                prior_features.row_features(&grown, row),
                 "row {row}"
             );
         }
@@ -767,15 +791,23 @@ mod tests {
     }
 
     #[test]
-    fn extend_preserves_distinct_indices_for_feature_memo() {
+    fn extend_grows_the_store_in_place() {
         let small = table();
         let grown = grown_table();
         let s = AnalysisSession::new(&small);
-        let before = s.row_features(1);
-        let s = s.extend(&grown).expect("resumes");
-        // Row 4 duplicates row 1; the memoized vector must be shared.
-        assert!(Arc::ptr_eq(&before, &s.row_features(4)));
-        assert!(s.stats().feature_row_hits >= 1);
+        let before = store_row(&s, 1);
+        let (s, recorded) =
+            datavinci_telemetry::collect(true, || s.extend(&grown).expect("resumes"));
+        // Row 4 duplicates row 1: same distinct row, same bits.
+        assert_eq!(s.distinct_row(4), s.distinct_row(1));
+        assert_eq!(store_row(&s, 4), before);
+        // Only row 5 is a new distinct row, and only its two new values
+        // were evaluated, once per feature of their column.
+        assert_eq!(s.stats().feature_rows_computed, 3);
+        let features = s.features();
+        let evals = features.predicates.len() as u64;
+        let counters = recorded.expect("telemetry enabled").metrics.counters;
+        assert_eq!(counters["features.predicate_evals"], evals);
     }
 
     #[test]
@@ -783,7 +815,7 @@ mod tests {
         let small = table();
         let snapshot = {
             let s = AnalysisSession::new(&small);
-            let _ = s.row_features(0);
+            let _ = s.features();
             s.into_snapshot()
         };
         assert!(snapshot.resumable_for(&small), "identity resume allowed");
@@ -833,5 +865,118 @@ mod tests {
             AnalysisSession::new(&grown).n_distinct_rows()
         );
         assert_eq!(s.stats().feature_generations, 0);
+    }
+
+    /// Asserts the store's bit equals both row-level reference paths for
+    /// every (row, feature) of `table`.
+    fn assert_store_matches(
+        s: &AnalysisSession<'_>,
+        table: &Table,
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        let features = s.features();
+        let rendered = RenderedTable::new(table);
+        for row in 0..table.n_rows() {
+            let bits = store_row(s, row);
+            proptest::prop_assert_eq!(&bits, &features.row_features_rendered(&rendered, row));
+            proptest::prop_assert_eq!(&bits, &features.row_features(table, row));
+        }
+        // Gathered example bitsets (over 64 examples, so several blocks)
+        // hold the same bits.
+        let store = s.feature_store();
+        let examples: Vec<usize> = (0..150)
+            .map(|i| s.distinct_row((i * 7) % table.n_rows()))
+            .collect();
+        let n_words = examples.len().div_ceil(64);
+        let mut gathered = vec![0u64; features.len() * n_words];
+        store.gather(&examples, &mut gathered);
+        for f in 0..features.len() {
+            for (i, &d) in examples.iter().enumerate() {
+                let bit = gathered[f * n_words + i / 64] >> (i % 64) & 1 == 1;
+                proptest::prop_assert_eq!(bit, store.bit(f, d));
+            }
+        }
+        Ok(())
+    }
+
+    fn arb_cell() -> impl proptest::strategy::Strategy<Value = CellValue> {
+        use proptest::prelude::*;
+        prop_oneof![
+            Just(CellValue::Number(3.0)),
+            Just(CellValue::text("3")),
+            Just(CellValue::text("")),
+            Just(CellValue::Blank),
+            Just(CellValue::Bool(true)),
+            Just(CellValue::text("TRUE")),
+            Just(CellValue::Error(ErrorValue::NA)),
+            Just(CellValue::Error(ErrorValue::Div0)),
+            (0u32..4).prop_map(|n| CellValue::Number(f64::from(n) + 0.5)),
+            "[a-cA-C]{1,2}-[0-9]{1,2}".prop_map(CellValue::text),
+            "[A-C][a-c]{0,2}[0-9]{0,1}".prop_map(CellValue::text),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(96))]
+
+        /// The store's bit equals the row-level reference evaluation for
+        /// every (row, feature): on a fresh session, after extending onto
+        /// appended rows with carried features, and after resuming a
+        /// persisted snapshot. Rows repeat a few base rows (duplicate-heavy
+        /// columns), kinds mix (`Number(3)` next to `Text("3")`, blank text
+        /// next to `Blank`), and the last column may end early, so the
+        /// appended rows hold missing cells.
+        #[test]
+        fn store_bits_equal_row_features(
+            base in proptest::collection::vec(proptest::collection::vec(arb_cell(), 3), 1..7),
+            picks in proptest::collection::vec(0usize..7, 2..48),
+            n_cols in 1usize..4,
+            short in 0usize..3,
+            split in 0usize..48,
+        ) {
+            let n = picks.len();
+            let columns: Vec<Column> = (0..n_cols)
+                .map(|c| {
+                    let cells = picks.iter().map(|&p| base[p % base.len()][c].clone()).collect();
+                    Column::new(format!("c{c}"), cells)
+                })
+                .collect();
+            let mut grown = Table::new(columns);
+            let short = if n_cols > 1 { short.min(n - 1) } else { 0 };
+            grown
+                .column_mut(n_cols - 1)
+                .unwrap()
+                .values_mut()
+                .truncate(n - short);
+            let k = 1 + split % (n - short);
+            let prefix = Table::new(
+                grown
+                    .columns()
+                    .iter()
+                    .map(|c| Column::new(c.name(), c.values()[..k].to_vec()))
+                    .collect(),
+            );
+
+            // Fresh.
+            assert_store_matches(&AnalysisSession::new(&grown), &grown)?;
+
+            // Extended, with the prefix's features carried.
+            let s = AnalysisSession::new(&prefix);
+            assert_store_matches(&s, &prefix)?;
+            let s = s.extend(&grown).expect("append-only growth resumes");
+            proptest::prop_assert_eq!(s.stats().feature_generations, 1);
+            assert_store_matches(&s, &grown)?;
+
+            // Resumed from a persisted snapshot.
+            let s = AnalysisSession::new(&prefix);
+            let _ = s.features();
+            let mut buf = Vec::new();
+            crate::persist::encode_snapshot(&s.into_snapshot(), &mut buf);
+            let mut r = crate::persist::Reader::new(&buf);
+            let back = crate::persist::decode_snapshot(&mut r, Arc::new(MaskCache::default()))
+                .expect("round trip");
+            let s = AnalysisSession::resume(back, &grown).expect("resumes");
+            assert_store_matches(&s, &grown)?;
+            proptest::prop_assert_eq!(s.stats().feature_generations, 0);
+        }
     }
 }

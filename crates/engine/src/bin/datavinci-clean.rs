@@ -647,11 +647,10 @@ fn run(args: &Args) -> Result<(), String> {
         }
         let s = &report.session;
         println!(
-            "session: {} feature generation(s) · {} row vectors computed, {} shared · \
+            "session: {} feature generation(s) · {} distinct rows in the feature store · \
              {}/{} distinct rows · mask memo {} hits / {} misses",
             s.feature_generations,
             s.feature_rows_computed,
-            s.feature_row_hits,
             s.distinct_rows,
             s.table_rows,
             s.mask_cache_hits,

@@ -240,8 +240,8 @@ impl Engine {
     ///
     /// Work is scheduled at `(table, column)` granularity so a batch of
     /// small tables and one huge table still load-balances. Each table's
-    /// columns share one [`AnalysisSession`] (features, row vectors, and
-    /// pools are built at most once per table), and tables with identical
+    /// columns share one [`AnalysisSession`] (features, the feature store,
+    /// and pools are built at most once per table), and tables with identical
     /// fingerprints share one session outright.
     pub fn clean_batch(&self, tables: &[Table]) -> BatchReport {
         let (mut batch, profile) =

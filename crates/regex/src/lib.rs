@@ -35,5 +35,5 @@ pub use dag::{Dag, DagEdge, DagLabel};
 pub use dfa::AsciiBatch;
 pub use display::render;
 pub use edit_distance::{levenshtein, levenshtein_toks, levenshtein_within, BandedLevenshtein};
-pub use matcher::{Binding, Bindings, CompiledPattern};
+pub use matcher::{Binding, BindingScratch, BindingSpan, Bindings, CompiledPattern};
 pub use token::{MaskAlphabet, MaskId, MaskedString, Tok};

@@ -186,93 +186,186 @@ impl CompiledPattern {
     /// Uses the unrolled DAG, so occurrence indices are consistent with the
     /// DAGs the repair engine builds for erroneous values of similar length.
     pub fn bindings(&self, value: &MaskedString) -> Option<Bindings> {
+        let mut scratch = BindingScratch::default();
+        let spans = self.binding_spans(value, &mut scratch)?;
+        let items = spans
+            .iter()
+            .map(|span| {
+                let mut text = String::new();
+                span.write_text(value, &mut text);
+                Binding {
+                    key: span.key,
+                    text,
+                }
+            })
+            .collect();
+        Some(Bindings { items })
+    }
+
+    /// [`CompiledPattern::bindings`] as token spans, walked in `scratch`'s
+    /// reused buffers: training calls this once per distinct value and
+    /// renders each span's text only where it needs it
+    /// ([`BindingSpan::write_text`]).
+    pub fn binding_spans<'s>(
+        &self,
+        value: &MaskedString,
+        scratch: &'s mut BindingScratch,
+    ) -> Option<&'s [BindingSpan]> {
         if value.len() < self.min_len {
             return None;
         }
         let dag = self.dag_for_len(value.len());
-        zero_cost_path(&dag, value)
+        scratch.walk(&dag, value)
     }
 }
 
-/// Reachability DP over (tokens consumed, node) with parent pointers;
-/// reconstructs the bindings of one zero-cost (exact-match) path.
-fn zero_cost_path(dag: &Dag, value: &MaskedString) -> Option<Bindings> {
-    let toks = value.toks();
-    let n = toks.len();
-    let nn = dag.n_nodes;
-    // parent[(i, u)] = (prev_i, prev_node, edge index) for one reaching path.
-    let mut reached = vec![false; (n + 1) * nn];
-    let mut parent: Vec<Option<(usize, usize, usize)>> = vec![None; (n + 1) * nn];
-    let idx = |i: usize, u: usize| i * nn + u;
-    reached[idx(0, dag.start)] = true;
+/// What one concretizable atom occurrence consumed during a match: the
+/// tokens `start..end` of the matched value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BindingSpan {
+    /// Which atom occurrence.
+    pub key: AtomKey,
+    /// First consumed token.
+    pub start: usize,
+    /// One past the last consumed token.
+    pub end: usize,
+}
 
-    for i in 0..n {
-        for u in 0..nn {
-            if !reached[idx(i, u)] {
-                continue;
+impl BindingSpan {
+    /// Appends the binding's text to `out`: the consumed characters for a
+    /// class or disjunction, the `⟨m⟩` placeholder for a mask. Only mask
+    /// edges consume mask tokens, so a one-mask-token span is a mask
+    /// binding.
+    pub fn write_text(&self, value: &MaskedString, out: &mut String) {
+        match &value.toks()[self.start..self.end] {
+            [Tok::Mask(_)] => out.push_str("⟨m⟩"),
+            toks => out.extend(toks.iter().map(|t| match t {
+                Tok::Char(c) => *c,
+                Tok::Mask(_) => '\u{FFFD}',
+            })),
+        }
+    }
+}
+
+/// Reusable buffers for [`CompiledPattern::binding_spans`]: reachability
+/// bitsets, a parent table and a span list, grown to the largest walk and
+/// never shrunk.
+#[derive(Debug, Default)]
+pub struct BindingScratch {
+    /// Per tokens consumed `i`: the bitset of nodes reached after `i`
+    /// tokens.
+    reached: Vec<u64>,
+    /// Per reached (tokens consumed, node) cell: the edge index and token
+    /// count of the step that first reached it ([`START`] for the start
+    /// cell). Cells no path reached hold stale values and are never read.
+    parent: Vec<(u32, u32)>,
+    spans: Vec<BindingSpan>,
+}
+
+/// The parent-table edge index of the start cell, reached before any step.
+const START: u32 = u32::MAX;
+
+impl BindingScratch {
+    /// Reachability DP over (tokens consumed, node), keeping the first step
+    /// into each cell; walks the parents of one zero-cost (exact-match)
+    /// path back from the first accepting node.
+    ///
+    /// Cells are expanded in ascending (tokens, node) order, as a full scan
+    /// of the table would, but only reached nodes are visited: each step's
+    /// reached set is a bitset whose next set bit is re-read after every
+    /// expansion.
+    fn walk(&mut self, dag: &Dag, value: &MaskedString) -> Option<&[BindingSpan]> {
+        let toks = value.toks();
+        let n = toks.len();
+        let nn = dag.n_nodes;
+        let words = nn.div_ceil(64);
+        let idx = |i: usize, u: usize| i * nn + u;
+        let (reached, parent) = (&mut self.reached, &mut self.parent);
+        reached.clear();
+        reached.resize((n + 1) * words, 0);
+        if parent.len() < (n + 1) * nn {
+            parent.resize((n + 1) * nn, (START, 0));
+        }
+        let mut reach = |reached: &mut [u64], i: usize, v: usize, step: (u32, u32)| {
+            let word = &mut reached[i * words + v / 64];
+            if *word >> (v % 64) & 1 == 0 {
+                *word |= 1 << (v % 64);
+                parent[idx(i, v)] = step;
             }
-            for &ei in &dag.out_edges[u] {
-                let e = &dag.edges[ei];
-                match &e.label {
-                    DagLabel::Disj(d, _) => {
-                        for alt in &dag.disjs[*d as usize] {
-                            let k = alt.len();
-                            if i + k <= n
-                                && alt
-                                    .iter()
-                                    .zip(&toks[i..i + k])
-                                    .all(|(c, t)| *t == Tok::Char(*c))
-                                && !reached[idx(i + k, e.to)]
-                            {
-                                reached[idx(i + k, e.to)] = true;
-                                parent[idx(i + k, e.to)] = Some((i, u, ei));
+        };
+        reach(reached, 0, dag.start, (START, 0));
+
+        for i in 0..n {
+            let mut next = 0;
+            while let Some(u) = next_set(&reached[i * words..(i + 1) * words], next) {
+                next = u + 1;
+                for &ei in &dag.out_edges[u] {
+                    let e = &dag.edges[ei];
+                    match &e.label {
+                        DagLabel::Disj(d, _) => {
+                            for alt in &dag.disjs[*d as usize] {
+                                let k = alt.len();
+                                if i + k <= n
+                                    && alt
+                                        .iter()
+                                        .zip(&toks[i..i + k])
+                                        .all(|(c, t)| *t == Tok::Char(*c))
+                                {
+                                    reach(reached, i + k, e.to, (ei as u32, k as u32));
+                                }
                             }
                         }
-                    }
-                    label => {
-                        if Dag::tok_matches(label, toks[i]) && !reached[idx(i + 1, e.to)] {
-                            reached[idx(i + 1, e.to)] = true;
-                            parent[idx(i + 1, e.to)] = Some((i, u, ei));
+                        label => {
+                            if Dag::tok_matches(label, toks[i]) {
+                                reach(reached, i + 1, e.to, (ei as u32, 1));
+                            }
                         }
                     }
                 }
             }
         }
-    }
 
-    let accept = (0..nn).find(|&u| reached[idx(n, u)] && dag.accepts[u])?;
+        let last = &reached[n * words..];
+        let accept = (0..nn).find(|&u| last[u / 64] >> (u % 64) & 1 == 1 && dag.accepts[u])?;
 
-    // Walk parents back to the start, collecting atom bindings.
-    let mut items = Vec::new();
-    let mut cur = (n, accept);
-    while let Some((pi, pu, ei)) = parent[idx(cur.0, cur.1)] {
-        let e = &dag.edges[ei];
-        let consumed: String = toks[pi..cur.0]
-            .iter()
-            .map(|t| match t {
-                Tok::Char(c) => *c,
-                Tok::Mask(_) => '\u{FFFD}',
-            })
-            .collect();
-        match &e.label {
-            DagLabel::Class(_, key) | DagLabel::Disj(_, key) => {
-                items.push(Binding {
-                    key: *key,
-                    text: consumed,
-                });
+        // Walk parents back to the start, collecting atom bindings.
+        self.spans.clear();
+        let (mut i, mut u) = (n, accept);
+        loop {
+            let (ei, k) = self.parent[idx(i, u)];
+            if ei == START {
+                break;
             }
-            DagLabel::Mask(_, key) => {
-                items.push(Binding {
-                    key: *key,
-                    text: "⟨m⟩".to_string(),
-                });
+            let e = &dag.edges[ei as usize];
+            let start = i - k as usize;
+            match &e.label {
+                DagLabel::Class(_, key) | DagLabel::Disj(_, key) | DagLabel::Mask(_, key) => {
+                    self.spans.push(BindingSpan {
+                        key: *key,
+                        start,
+                        end: i,
+                    });
+                }
+                DagLabel::Lit(_) => {}
             }
-            DagLabel::Lit(_) => {}
+            (i, u) = (start, e.from);
         }
-        cur = (pi, pu);
+        self.spans.reverse();
+        Some(&self.spans)
     }
-    items.reverse();
-    Some(Bindings { items })
+}
+
+/// The first set bit at index `from` or above.
+fn next_set(bits: &[u64], from: usize) -> Option<usize> {
+    let mut w = from / 64;
+    let mut word = *bits.get(w)? & (u64::MAX << (from % 64));
+    loop {
+        if word != 0 {
+            return Some(w * 64 + word.trailing_zeros() as usize);
+        }
+        w += 1;
+        word = *bits.get(w)?;
+    }
 }
 
 #[cfg(test)]
@@ -283,6 +376,205 @@ mod tests {
 
     fn compiled(p: Pattern) -> CompiledPattern {
         CompiledPattern::compile(p)
+    }
+
+    /// The walk [`BindingScratch::walk`] replaced: fresh tables per value,
+    /// `Option` parent cells and one `String` per binding. The oracle the
+    /// scratch walk is proven against.
+    fn zero_cost_path(dag: &Dag, value: &MaskedString) -> Option<Bindings> {
+        let toks = value.toks();
+        let n = toks.len();
+        let nn = dag.n_nodes;
+        // parent[(i, u)] = (prev_i, prev_node, edge index) for one reaching path.
+        let mut reached = vec![false; (n + 1) * nn];
+        let mut parent: Vec<Option<(usize, usize, usize)>> = vec![None; (n + 1) * nn];
+        let idx = |i: usize, u: usize| i * nn + u;
+        reached[idx(0, dag.start)] = true;
+
+        for i in 0..n {
+            for u in 0..nn {
+                if !reached[idx(i, u)] {
+                    continue;
+                }
+                for &ei in &dag.out_edges[u] {
+                    let e = &dag.edges[ei];
+                    match &e.label {
+                        DagLabel::Disj(d, _) => {
+                            for alt in &dag.disjs[*d as usize] {
+                                let k = alt.len();
+                                if i + k <= n
+                                    && alt
+                                        .iter()
+                                        .zip(&toks[i..i + k])
+                                        .all(|(c, t)| *t == Tok::Char(*c))
+                                    && !reached[idx(i + k, e.to)]
+                                {
+                                    reached[idx(i + k, e.to)] = true;
+                                    parent[idx(i + k, e.to)] = Some((i, u, ei));
+                                }
+                            }
+                        }
+                        label => {
+                            if Dag::tok_matches(label, toks[i]) && !reached[idx(i + 1, e.to)] {
+                                reached[idx(i + 1, e.to)] = true;
+                                parent[idx(i + 1, e.to)] = Some((i, u, ei));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        let accept = (0..nn).find(|&u| reached[idx(n, u)] && dag.accepts[u])?;
+
+        // Walk parents back to the start, collecting atom bindings.
+        let mut items = Vec::new();
+        let mut cur = (n, accept);
+        while let Some((pi, pu, ei)) = parent[idx(cur.0, cur.1)] {
+            let e = &dag.edges[ei];
+            let consumed: String = toks[pi..cur.0]
+                .iter()
+                .map(|t| match t {
+                    Tok::Char(c) => *c,
+                    Tok::Mask(_) => '\u{FFFD}',
+                })
+                .collect();
+            match &e.label {
+                DagLabel::Class(_, key) | DagLabel::Disj(_, key) => {
+                    items.push(Binding {
+                        key: *key,
+                        text: consumed,
+                    });
+                }
+                DagLabel::Mask(_, key) => {
+                    items.push(Binding {
+                        key: *key,
+                        text: "⟨m⟩".to_string(),
+                    });
+                }
+                DagLabel::Lit(_) => {}
+            }
+            cur = (pi, pu);
+        }
+        items.reverse();
+        Some(Bindings { items })
+    }
+
+    /// Patterns over literals, classes, masks and disjunctions (two with
+    /// prefix-sharing alternatives), nested by concatenation,
+    /// alternation and quantifiers.
+    fn arb_pattern() -> impl proptest::strategy::Strategy<Value = Pattern> {
+        use proptest::prelude::*;
+        let leaf = prop_oneof![
+            "[a-c]{1,3}".prop_map(Pattern::lit),
+            Just(Pattern::lit("-")),
+            Just(Pattern::Class(CharClass::Digit)),
+            Just(Pattern::Class(CharClass::Lower)),
+            Just(Pattern::Class(CharClass::Upper)),
+            Just(Pattern::Mask(crate::token::MaskId(0))),
+            Just(Pattern::disj(["cat", "dog"])),
+            Just(Pattern::disj(["a", "ab", "abc"])),
+            Just(Pattern::disj(["x", "xy"])),
+        ];
+        leaf.prop_recursive(3, 16, 4, |inner| {
+            prop_oneof![
+                prop::collection::vec(inner.clone(), 1..4).prop_map(Pattern::concat),
+                prop::collection::vec(inner.clone(), 1..4).prop_map(Pattern::Alt),
+                inner.clone().prop_map(Pattern::plus),
+                inner.clone().prop_map(Pattern::opt),
+                (inner, 0u32..3).prop_map(|(p, n)| Pattern::Repeat {
+                    body: Box::new(p),
+                    min: n,
+                    max: Some(n + 1),
+                }),
+            ]
+        })
+    }
+
+    /// One member of `pattern`'s language, chosen by `picks`.
+    fn sample_member(pattern: &Pattern, picks: &[usize]) -> MaskedString {
+        fn go(p: &Pattern, picks: &[usize], cursor: &mut usize, out: &mut MaskedString) {
+            let mut pick = |n: usize| {
+                let v = picks.get(*cursor).copied().unwrap_or(0);
+                *cursor += 1;
+                v % n.max(1)
+            };
+            match p {
+                Pattern::Empty => {}
+                Pattern::Str(s) => s.chars().for_each(|c| out.push(Tok::Char(c))),
+                Pattern::Class(c) => {
+                    let candidates: Vec<char> = ('0'..='9')
+                        .chain('a'..='z')
+                        .chain('A'..='Z')
+                        .filter(|ch| c.contains(*ch))
+                        .collect();
+                    out.push(Tok::Char(candidates[pick(candidates.len())]));
+                }
+                Pattern::Mask(m) => out.push(Tok::Mask(*m)),
+                Pattern::Disj(alts) => {
+                    let alt = &alts[pick(alts.len())];
+                    alt.chars().for_each(|c| out.push(Tok::Char(c)));
+                }
+                Pattern::Concat(parts) => {
+                    parts.iter().for_each(|part| go(part, picks, cursor, out))
+                }
+                Pattern::Alt(parts) => go(&parts[pick(parts.len())], picks, cursor, out),
+                Pattern::Repeat { body, min, max } => {
+                    let extra = match max {
+                        Some(m) => pick((*m - *min + 1) as usize) as u32,
+                        None => pick(3) as u32,
+                    };
+                    for _ in 0..(*min + extra) {
+                        go(body, picks, cursor, out);
+                    }
+                }
+            }
+        }
+        let mut out = MaskedString::default();
+        go(pattern, picks, &mut 0, &mut out);
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// The scratch walk binds exactly what the per-value walk binds, on
+        /// sampled members and on random token strings, with one scratch
+        /// reused across patterns and value lengths.
+        #[test]
+        fn scratch_walk_equals_fresh_walk(
+            patterns in proptest::collection::vec(arb_pattern(), 1..4),
+            picks in proptest::collection::vec(0usize..64, 0..24),
+            noise in proptest::collection::vec("[a-cA-C0-2x-]{0,8}", 1..4),
+        ) {
+            let mut scratch = BindingScratch::default();
+            for pattern in patterns {
+                let p = compiled(pattern.clone());
+                let mut values = vec![sample_member(&pattern, &picks)];
+                values.extend(noise.iter().map(|s| MaskedString::from_plain(s)));
+                values.push(MaskedString::from_toks(vec![Tok::Mask(crate::token::MaskId(0))]));
+                for value in &values {
+                    let oracle = (value.len() >= p.min_len())
+                        .then(|| zero_cost_path(&p.dag_for_len(value.len()), value))
+                        .flatten();
+                    let spans = p.binding_spans(value, &mut scratch).map(|s| s.to_vec());
+                    let texts = spans.map(|spans| {
+                        spans
+                            .iter()
+                            .map(|span| {
+                                let mut text = String::new();
+                                span.write_text(value, &mut text);
+                                Binding { key: span.key, text }
+                            })
+                            .collect::<Vec<_>>()
+                    });
+                    proptest::prop_assert_eq!(texts, oracle.map(|b| b.items));
+                    if p.matches(value) {
+                        proptest::prop_assert!(p.bindings(value).is_some());
+                    }
+                }
+            }
+        }
     }
 
     #[test]

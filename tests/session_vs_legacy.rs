@@ -18,9 +18,7 @@
 
 use proptest::prelude::*;
 
-use datavinci::core::{
-    learn, learn_weighted, DataVinci, DataVinciConfig, DtreeConfig, TableReport,
-};
+use datavinci::core::{learn_weighted, DataVinci, DataVinciConfig, DtreeConfig, TableReport};
 use datavinci::corpus::{
     duplicate_rows, excel_like, synthetic_errors, wikipedia_like, Flavor, NoiseModel, Scale,
     TableSpec,
@@ -261,8 +259,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Weighted dtree induction over distinct (vector, label) pairs equals
-    /// induction over the row-wise expansion, for arbitrary boolean
-    /// matrices, label assignments, and multiplicities.
+    /// induction over the row-wise expansion (every example at weight 1),
+    /// for arbitrary boolean matrices, label assignments, and
+    /// multiplicities.
     #[test]
     fn weighted_dtree_equals_row_expanded(
         distinct in prop::collection::vec(
@@ -280,17 +279,18 @@ proptest! {
         let labels: Vec<u32> = distinct.iter().map(|&(_, l, _)| l).collect();
         let weights: Vec<usize> = distinct.iter().map(|&(_, _, w)| w).collect();
 
-        let mut expanded_rows: Vec<Vec<bool>> = Vec::new();
+        let mut expanded_rows: Vec<&[bool]> = Vec::new();
         let mut expanded_labels: Vec<u32> = Vec::new();
-        for ((r, &l), &w) in rows.iter().zip(&labels).zip(&weights) {
+        for ((&r, &l), &w) in rows.iter().zip(&labels).zip(&weights) {
             for _ in 0..w {
-                expanded_rows.push(r.to_vec());
+                expanded_rows.push(r);
                 expanded_labels.push(l);
             }
         }
+        let unit = vec![1usize; expanded_rows.len()];
         prop_assert_eq!(
             learn_weighted(&rows, &labels, &weights, &cfg),
-            learn(&expanded_rows, &expanded_labels, &cfg)
+            learn_weighted(&expanded_rows, &expanded_labels, &unit, &cfg)
         );
     }
 
