@@ -11,8 +11,9 @@
 //! - summed over the tables, the DP count grows at most ×4 per doubling of
 //!   rows. Noisy cells mostly carry shapes of their own, so the number of
 //!   merge groups G grows about linearly with rows. The cached pair-cost
-//!   scan runs O(G²) DPs, ×2.8–3.2 per doubling on this ladder; the
-//!   all-pairs loop's O(G³) call count grows ×4.6–5.4 and fails the gate.
+//!   scan runs O(G²) DPs, less the pairs whose unit lengths alone rule a
+//!   merge out: ×2.9–3.7 per doubling on this ladder. The all-pairs
+//!   loop's O(G³) call count grows ×4.6–5.4 and fails the gate.
 
 use datavinci_corpus::{random_spec, NoiseModel, TableSpec};
 use datavinci_profile::atom::{signature, smallest_period, tokenize, AtomKind};

@@ -3,8 +3,9 @@
 //!
 //! Cleans the seeded 120-row noisy sample table end to end with telemetry
 //! disabled and enabled, first asserting the two modes produce
-//! byte-identical reports and repaired CSV, then timing 16 interleaved
-//! iterations per mode (fresh cold-cache one-worker engine per iteration).
+//! byte-identical reports and repaired CSV, then timing 256 interleaved
+//! iterations per mode in alternating order (fresh cold-cache one-worker
+//! engine per clean).
 //! Two gates:
 //!
 //! * **enabled** — median enabled vs median disabled wall time, within 8%.
@@ -27,7 +28,7 @@ use datavinci_telemetry::{counter, span, SpanNode, TaskProfile};
 
 const SEED: u64 = 2024;
 const ROWS: usize = 120;
-const ITERATIONS: usize = 16;
+const ITERATIONS: usize = 256;
 const ENABLED_GATE_PCT: f64 = 8.0;
 const DISABLED_GATE_PCT: f64 = 2.0;
 
@@ -100,21 +101,24 @@ fn telemetry_overhead_stays_within_gates() {
     );
     let events = record_events(on.telemetry.as_ref().expect("telemetry enabled"));
 
-    // Interleaved A/B timing, fresh cold-cache engine per iteration.
+    // Interleaved A/B timing, fresh cold-cache engine per clean. Each
+    // iteration times both modes in an order that alternates (ABBA), so a
+    // drift in machine speed lands on both modes alike.
     let mut disabled_ms = Vec::with_capacity(ITERATIONS);
     let mut enabled_ms = Vec::with_capacity(ITERATIONS);
-    for _ in 0..ITERATIONS {
-        let e = engine(false);
-        let started = Instant::now();
-        let report = e.clean_table(&table);
-        disabled_ms.push(started.elapsed().as_secs_f64() * 1e3);
-        assert!(report.telemetry.is_none());
-
-        let e = engine(true);
-        let started = Instant::now();
-        let report = e.clean_table(&table);
-        enabled_ms.push(started.elapsed().as_secs_f64() * 1e3);
-        assert!(report.telemetry.is_some());
+    for i in 0..ITERATIONS {
+        for telemetry in [i % 2 == 1, i % 2 == 0] {
+            let e = engine(telemetry);
+            let started = Instant::now();
+            let report = e.clean_table(&table);
+            let ms = started.elapsed().as_secs_f64() * 1e3;
+            assert_eq!(report.telemetry.is_some(), telemetry);
+            if telemetry {
+                enabled_ms.push(ms);
+            } else {
+                disabled_ms.push(ms);
+            }
+        }
     }
     let disabled_median = median(&mut disabled_ms);
     let enabled_median = median(&mut enabled_ms);

@@ -413,7 +413,7 @@ impl DataVinci {
 
         // Non-error values, for the ranker's closest-value property
         // (`error_rows` is sorted; borrow instead of cloning each value).
-        let clean_values = ClosestValues::new(
+        let mut clean_values = ClosestValues::new(
             (0..values.len())
                 .filter(|r| analysis.error_rows.binary_search(r).is_err())
                 .map(|r| values[r].as_str()),
@@ -429,7 +429,7 @@ impl DataVinci {
                 value: values[row].clone(),
             });
             let candidates =
-                self.candidates_for_row(analysis, &mut concretizer, row, &clean_values);
+                self.candidates_for_row(analysis, &mut concretizer, row, &mut clean_values);
             if let Some(best) = candidates.first() {
                 if best.repaired != values[row] {
                     report.repairs.push(RepairSuggestion {
@@ -451,7 +451,7 @@ impl DataVinci {
         analysis: &ColumnAnalysis,
         concretizer: &mut Concretizer<'_, '_>,
         row: usize,
-        clean_values: &ClosestValues<'_>,
+        clean_values: &mut ClosestValues<'_>,
     ) -> Vec<RepairCandidate> {
         let original = analysis.values[row].as_str();
         let value = &analysis.masked[row];

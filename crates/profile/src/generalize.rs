@@ -145,6 +145,44 @@ pub(crate) fn merge_cost(
     align(a, b, cfg, dp, |_, _| {})
 }
 
+/// Relative slack on [`merge_cost_exceeds`]'s bound: more than the float
+/// rounding of the alignment DP's sum over any unit pair of realistic
+/// length, so the bound never prunes a pair the DP would merge.
+const BOUND_SLACK: f64 = 1e-6;
+
+/// Whether unit lengths alone prove that [`merge_cost`] of `a` and `b` is
+/// `None` or above `threshold`, so the DP can be skipped.
+///
+/// An alignment of units of `n` and `m` positions leaves at least |n − m|
+/// positions unmatched, each gap costs at least the cheapest gap cost, and
+/// no step costs less than zero, so the normalized cost is at least
+/// |n − m| · (cheapest gap cost) / max(n, m). The bound holds only when
+/// every cost in `cfg` is non-negative; otherwise nothing is pruned.
+pub(crate) fn merge_cost_exceeds(
+    a: &GroupProfile,
+    b: &GroupProfile,
+    cfg: &MergeConfig,
+    threshold: f64,
+) -> bool {
+    let costs = [
+        cfg.class_widen_cost,
+        cfg.class_mismatch_cost,
+        cfg.gap_class_cost,
+        cfg.gap_sym_cost,
+        cfg.gap_mask_cost,
+    ];
+    if !costs.iter().all(|&c| c >= 0.0) {
+        return false;
+    }
+    let (n, m) = (a.unit.len(), b.unit.len());
+    let cheapest_gap = cfg
+        .gap_class_cost
+        .min(cfg.gap_sym_cost)
+        .min(cfg.gap_mask_cost);
+    let bound = n.abs_diff(m) as f64 * cheapest_gap / n.max(m).max(1) as f64;
+    bound * (1.0 - BOUND_SLACK) > threshold
+}
+
 /// Attempts to merge two groups. Returns the *normalized* alignment cost and
 /// the merged profile; `None` when alignment is impossible.
 pub fn try_merge(
@@ -354,6 +392,20 @@ pub(crate) mod tests {
         assert!(try_merge(&a, &b, &MergeConfig::default()).is_none());
     }
 
+    /// The groups of the values `draws` stand for, plus each adjacent pair
+    /// merged (merged groups carry optional positions).
+    fn groups_with_merges(draws: &[(Vec<usize>, usize)]) -> Vec<GroupProfile> {
+        let values: Vec<MaskedString> = draws.iter().map(generated_value).collect();
+        let mut groups = group_by_shape(&values, &MaskedPool::new(&values));
+        let merged: Vec<GroupProfile> = groups
+            .windows(2)
+            .filter_map(|w| try_merge(&w[0], &w[1], &MergeConfig::default()))
+            .map(|(_, g)| g)
+            .collect();
+        groups.extend(merged);
+        groups
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
 
@@ -365,14 +417,7 @@ pub(crate) mod tests {
             draws in proptest::collection::vec(value_strategy(), 1..10),
             steps in proptest::collection::vec(1u32..6, 5..6),
         ) {
-            let values: Vec<MaskedString> = draws.iter().map(generated_value).collect();
-            let mut groups = group_by_shape(&values, &MaskedPool::new(&values));
-            let merged: Vec<GroupProfile> = groups
-                .windows(2)
-                .filter_map(|w| try_merge(&w[0], &w[1], &MergeConfig::default()))
-                .map(|(_, g)| g)
-                .collect();
-            groups.extend(merged);
+            let groups = groups_with_merges(&draws);
             let mut dp = Vec::new();
             for cfg in [MergeConfig::default(), coarse_config(&steps)] {
                 for a in &groups {
@@ -380,6 +425,31 @@ pub(crate) mod tests {
                         proptest::prop_assert_eq!(
                             merge_cost(a, b, &cfg, &mut dp).map(f64::to_bits),
                             try_merge(a, b, &cfg).map(|(c, _)| c.to_bits())
+                        );
+                    }
+                }
+            }
+        }
+
+        /// A pair [`merge_cost_exceeds`] prunes never has a cost at or
+        /// under the threshold, on the default cost model and on a coarse
+        /// one, from "never merge" to "merge nearly everything".
+        #[test]
+        fn pruned_pairs_never_merge(
+            draws in proptest::collection::vec(value_strategy(), 1..10),
+            steps in proptest::collection::vec(1u32..6, 5..6),
+            threshold_pct in 0u32..90,
+        ) {
+            let groups = groups_with_merges(&draws);
+            let threshold = f64::from(threshold_pct) / 100.0;
+            let mut dp = Vec::new();
+            for cfg in [MergeConfig::default(), coarse_config(&steps)] {
+                for a in &groups {
+                    for b in groups.iter().filter(|b| merge_cost_exceeds(a, b, &cfg, threshold)) {
+                        let cost = merge_cost(a, b, &cfg, &mut dp);
+                        proptest::prop_assert!(
+                            cost.is_none_or(|c| c > threshold),
+                            "pruned pair costs {cost:?} <= {threshold}"
                         );
                     }
                 }

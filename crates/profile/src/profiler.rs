@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 
 use crate::atom::{signature, smallest_period, tokenize, Atom, AtomKind};
-use crate::generalize::{merge_cost, try_merge, MergeConfig};
+use crate::generalize::{merge_cost, merge_cost_exceeds, try_merge, MergeConfig};
 use crate::stats::{BuildConfig, GroupProfile};
 use datavinci_regex::{AsciiBatch, CompiledPattern, MaskedString, Pattern};
 use datavinci_telemetry as telemetry;
@@ -254,6 +254,8 @@ struct MergeCounts {
 /// into an upper-triangular matrix and a round recomputes only the merged
 /// group's pairs — O(G²) cost-only DPs over the loop instead of one per pair
 /// per round — and only the winning merge is materialized by [`try_merge`].
+/// A pair whose unit lengths alone prove its cost over the threshold
+/// ([`merge_cost_exceeds`]) skips the DP.
 /// Groups keep their initial slot indices (a removed group's slot goes
 /// dead), so slot order is list order and each round picks the pair a full
 /// rescan of the shrinking list would pick.
@@ -264,17 +266,26 @@ fn merge_groups(
     let g = groups.len();
     // Pair (i, j), i < j, lives at j(j−1)/2 + i.
     let tri = |i: usize, j: usize| j * (j - 1) / 2 + i;
+    let mut counts = MergeCounts {
+        rounds: 0,
+        cost_dps: 0,
+    };
     let mut dp: Vec<f64> = Vec::new();
+    // A pair whose unit lengths alone put it over the threshold is stored
+    // as `None`, like an impossible alignment, without running the DP.
+    let mut pair_cost = |a: &GroupProfile, b: &GroupProfile, counts: &mut MergeCounts| {
+        if merge_cost_exceeds(a, b, &cfg.merge, cfg.merge_threshold) {
+            return None;
+        }
+        counts.cost_dps += 1;
+        merge_cost(a, b, &cfg.merge, &mut dp)
+    };
     let mut cost: Vec<Option<f64>> = Vec::with_capacity(g * g.saturating_sub(1) / 2);
     for j in 0..g {
         for i in 0..j {
-            cost.push(merge_cost(&groups[i], &groups[j], &cfg.merge, &mut dp));
+            cost.push(pair_cost(&groups[i], &groups[j], &mut counts));
         }
     }
-    let mut counts = MergeCounts {
-        rounds: 0,
-        cost_dps: cost.len() as u64,
-    };
     let mut slots: Vec<Option<GroupProfile>> = groups.into_iter().map(Some).collect();
     let mut live: Vec<usize> = (0..g).collect();
     loop {
@@ -300,8 +311,7 @@ fn merge_groups(
         let group = |s: usize| slots[s].as_ref().expect("live slot");
         for &k in live.iter().filter(|&&k| k != i) {
             let (lo, hi) = (k.min(i), k.max(i));
-            cost[tri(lo, hi)] = merge_cost(group(lo), group(hi), &cfg.merge, &mut dp);
-            counts.cost_dps += 1;
+            cost[tri(lo, hi)] = pair_cost(group(lo), group(hi), &mut counts);
         }
     }
     (slots.into_iter().flatten().collect(), counts)
