@@ -405,17 +405,25 @@ impl<'a> Parser<'a> {
 
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    // Copy each run of bytes that need no escape in one `push_str`. Every
+    // escaped byte is ASCII, so runs start and end on char boundaries.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => out.push_str(&format!("\\u{b:04x}")),
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -451,6 +459,10 @@ mod tests {
     #[test]
     fn control_chars_are_escaped() {
         assert_eq!(Json::str("\u{1}").render(), "\"\\u0001\"");
+        assert_eq!(
+            Json::str("é\u{1f}€\"\r\t\\x").render(),
+            "\"é\\u001f€\\\"\\r\\t\\\\x\""
+        );
     }
 
     #[test]

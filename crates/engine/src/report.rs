@@ -197,7 +197,6 @@ pub fn cache_stats_into(frame: &mut MetricsFrame, stats: &CacheStats) {
     frame.set_counter("engine.cache.evictions.report", stats.report_evictions);
     frame.set_counter("engine.cache.evictions.session", stats.session_evictions);
     frame.set_counter("engine.cache.evictions.snapshot", stats.snapshot_evictions);
-    frame.set_gauge("engine.cache.bytes", stats.bytes as f64);
 }
 
 /// One span node as JSON: `{name, count, total_ns, children: [...]}`.

@@ -1,21 +1,12 @@
 //! Bump-style string storage: many small strings, few allocations.
 //!
-//! The hot paths of the pipeline (value interning, row-key interning,
-//! rendered-value dedup) create large populations of short strings whose
-//! lifetimes all end together. Storing each in its own `String` costs one
-//! heap allocation per value; a [`StrArena`] instead appends them into a
-//! small number of fixed-capacity segments and hands out offset-based
-//! [`ArenaRef`] handles, so a 200-distinct column costs a handful of
-//! allocations rather than two hundred.
-//!
-//! [`ArenaInterner`] layers exact-match dedup on top: `intern` returns a
-//! dense `u32` id in first-occurrence order, storing each distinct string
-//! once. Both types are std-only (no hashbrown raw-entry tricks): the
-//! interner buckets by a 64-bit hash and resolves collisions by comparing
-//! the arena-resident bytes.
-
-use std::collections::HashMap;
-use std::hash::{DefaultHasher, Hash, Hasher};
+//! Distinct-value interning ([`crate::ValuePool`]) creates large
+//! populations of short strings whose lifetimes all end together. Storing
+//! each in its own `String` costs one heap allocation per value; a
+//! [`StrArena`] instead appends them into a small number of fixed-capacity
+//! segments and hands out offset-based [`ArenaRef`] handles, so a
+//! 200-distinct column costs a handful of allocations rather than two
+//! hundred.
 
 /// Default capacity of each arena segment, in bytes. Oversized strings get
 /// a dedicated segment instead of forcing a realloc.
@@ -97,64 +88,6 @@ impl StrArena {
     }
 }
 
-/// Exact-match string interner over a [`StrArena`].
-///
-/// `intern` assigns dense `u32` ids in first-occurrence order — the same
-/// numbering a `HashMap<String, usize>` with `entry(..).or_insert(len)`
-/// produces — without allocating a key `String` per call.
-#[derive(Debug, Default)]
-pub struct ArenaInterner {
-    arena: StrArena,
-    /// 64-bit hash → (handle, id) entries; collisions compare arena bytes.
-    buckets: HashMap<u64, Vec<(ArenaRef, u32)>>,
-    /// Handle of each id, in id order.
-    refs: Vec<ArenaRef>,
-}
-
-impl ArenaInterner {
-    /// An empty interner.
-    pub fn new() -> ArenaInterner {
-        ArenaInterner::default()
-    }
-
-    /// The id of `s`, interning it on first sight.
-    pub fn intern(&mut self, s: &str) -> u32 {
-        let mut hasher = DefaultHasher::new();
-        s.hash(&mut hasher);
-        let bucket = self.buckets.entry(hasher.finish()).or_default();
-        for &(r, id) in bucket.iter() {
-            if self.arena.get(r) == s {
-                return id;
-            }
-        }
-        let r = self.arena.push(s);
-        let id = self.refs.len() as u32;
-        self.refs.push(r);
-        bucket.push((r, id));
-        id
-    }
-
-    /// The interned string with the given id.
-    pub fn resolve(&self, id: u32) -> &str {
-        self.arena.get(self.refs[id as usize])
-    }
-
-    /// Number of distinct strings interned.
-    pub fn len(&self) -> usize {
-        self.refs.len()
-    }
-
-    /// True when nothing has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.refs.is_empty()
-    }
-
-    /// The backing arena (for allocation accounting).
-    pub fn arena(&self) -> &StrArena {
-        &self.arena
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,33 +135,5 @@ mod tests {
         }
         // ~9 bytes per string → everything fits in a single 16 KiB segment.
         assert_eq!(arena.n_segments(), 1);
-    }
-
-    #[test]
-    fn interner_assigns_first_occurrence_ids() {
-        let mut interner = ArenaInterner::new();
-        assert_eq!(interner.intern("b"), 0);
-        assert_eq!(interner.intern("a"), 1);
-        assert_eq!(interner.intern("b"), 0);
-        assert_eq!(interner.intern(""), 2);
-        assert_eq!(interner.intern("a"), 1);
-        assert_eq!(interner.len(), 3);
-        assert_eq!(interner.resolve(0), "b");
-        assert_eq!(interner.resolve(1), "a");
-        assert_eq!(interner.resolve(2), "");
-    }
-
-    #[test]
-    fn interner_matches_hashmap_reference() {
-        // Differential check against the map the interner replaces.
-        let words: Vec<String> = (0..500).map(|i| format!("w{}", i % 37)).collect();
-        let mut interner = ArenaInterner::new();
-        let mut reference: HashMap<String, u32> = HashMap::new();
-        for w in &words {
-            let next = reference.len() as u32;
-            let expect = *reference.entry(w.clone()).or_insert(next);
-            assert_eq!(interner.intern(w), expect, "id for {w:?}");
-        }
-        assert_eq!(interner.len(), reference.len());
     }
 }

@@ -12,9 +12,8 @@
 //! * [`ValuePool`] — distinct-value interning (values, multiplicities, and
 //!   the row → distinct map) behind the per-distinct-value masking,
 //!   scoring and detection layers,
-//! * [`StrArena`]/[`ArenaInterner`] — bump-style string storage and exact
-//!   interning, keeping the hot paths at O(distinct) *allocations* rather
-//!   than O(distinct) `String`s,
+//! * [`StrArena`] — bump-style string storage, keeping the hot paths at
+//!   few *allocations* rather than one `String` per distinct value,
 //! * a lossless CSV reader/writer in [`io`], built on a resumable
 //!   [`CsvChunkReader`] so files and streams can be ingested chunk by chunk
 //!   with positioned [`CsvError`] diagnostics.
@@ -33,7 +32,7 @@ pub mod table;
 pub mod value;
 
 pub use addr::{CellRef, ColRef};
-pub use arena::{ArenaInterner, ArenaRef, StrArena};
+pub use arena::{ArenaRef, StrArena};
 pub use column::{Column, Fingerprinter};
 pub use io::{CsvChunkReader, CsvError, CsvErrorKind};
 pub use pool::ValuePool;
