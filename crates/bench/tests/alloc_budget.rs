@@ -20,9 +20,10 @@ use datavinci_core::DataVinci;
 static ALLOC: alloc_meter::MeteredAlloc = alloc_meter::MeteredAlloc;
 
 /// Committed budget: allocations per row for one 120-row column clean.
-/// Measured ≈268/row after the hot-path overhaul (≈278/row at the seed);
-/// regressions past 2× that are structural.
-const ALLOCS_PER_ROW_BUDGET: f64 = 540.0;
+/// Measured 50.0/row with the semantic abstraction kept per distinct
+/// response line (56.3/row before; ≈268/row after the first hot-path
+/// overhaul); regressions past 2× that are structural.
+const ALLOCS_PER_ROW_BUDGET: f64 = 100.0;
 
 #[test]
 fn e2e_clean_stays_under_alloc_budget() {

@@ -31,8 +31,8 @@ use crate::edit::{AbstractRepair, Emit};
 use crate::features::FeatureSet;
 use crate::pipeline::ColumnAnalysis;
 use crate::session::AnalysisSession;
-use datavinci_profile::LearnedPattern;
-use datavinci_regex::{AtomId, AtomKey, BindingScratch, MaskedString};
+use datavinci_profile::{LearnedPattern, MaskedPool};
+use datavinci_regex::{AtomId, AtomKey, BindingScratch};
 use datavinci_telemetry as telemetry;
 
 /// Training data and learned trees for one significant pattern.
@@ -95,18 +95,19 @@ impl<'s, 't> Concretizer<'s, 't> {
 
     /// Registers training data for a pattern: bindings of every matching
     /// (non-error) row. `rows` are table-row indices; `masked` is the full
-    /// masked column.
+    /// masked column's pool.
     ///
     /// Bindings are a pure function of the masked value, so the matching
-    /// walk runs once per *distinct* training value, in one reused scratch
-    /// buffer; its texts are interned and its atom occurrences resolved to
-    /// example lists once, and duplicate rows share the result.
+    /// walk runs once per *distinct* training value (keyed by its pool
+    /// index), in one reused scratch buffer; its texts are interned and its
+    /// atom occurrences resolved to example lists once, and duplicate rows
+    /// share the result.
     pub fn train_pattern(
         &mut self,
         pattern_idx: usize,
         pattern: &LearnedPattern,
         rows: &[usize],
-        masked: &[MaskedString],
+        masked: &MaskedPool,
     ) {
         if self.training.contains_key(&pattern_idx) {
             return;
@@ -120,14 +121,17 @@ impl<'s, 't> Concretizer<'s, 't> {
         // Per distinct matching value: its (slot, text id) bindings and
         // its training rows.
         let mut values: Vec<(Vec<(usize, u32)>, usize)> = Vec::new();
-        let mut by_value: HashMap<&MaskedString, Option<usize>> = HashMap::new();
+        // Per pool distinct index: unvisited, not matching, or its entry in
+        // `values`.
+        let mut by_value: Vec<Option<Option<usize>>> = vec![None; masked.n_distinct()];
         let mut scratch = BindingScratch::default();
         let mut text = String::new();
         for &row in rows {
-            let Some(value) = masked.get(row) else {
+            if row >= masked.n_rows() {
                 continue;
-            };
-            let vi = *by_value.entry(value).or_insert_with(|| {
+            }
+            let value = masked.value(row);
+            let vi = *by_value[masked.distinct_index(row)].get_or_insert_with(|| {
                 let spans = pattern.compiled.binding_spans(value, &mut scratch)?;
                 let items = spans.iter().map(|span| {
                     text.clear();
@@ -225,7 +229,7 @@ impl<'s, 't> Concretizer<'s, 't> {
             .copied()
             .filter(|r| analysis.error_rows.binary_search(r).is_err())
             .collect();
-        self.train_pattern(pattern_idx, lp, &rows, &analysis.masked);
+        self.train_pattern(pattern_idx, lp, &rows, analysis.masked_pool());
     }
 
     /// Predicts one hole's filler via tree → pooled majority → default.
@@ -436,6 +440,7 @@ fn cross_product(per_hole: &[Vec<String>], cap: usize) -> Vec<Vec<String>> {
 mod tests {
     use super::*;
     use datavinci_profile::{profile_plain, ProfilerConfig};
+    use datavinci_regex::MaskedString;
     use datavinci_table::{Column, Table};
 
     /// Figure-2-shaped table: suffix determined by the Category column.
@@ -485,8 +490,9 @@ mod tests {
         assert_eq!(repaired.to_plain().as_deref(), Some("EE-PRO"));
     }
 
-    fn masked(values: &[String]) -> Vec<MaskedString> {
-        values.iter().map(|v| MaskedString::from_plain(v)).collect()
+    fn masked(values: &[String]) -> MaskedPool {
+        let rows: Vec<MaskedString> = values.iter().map(|v| MaskedString::from_plain(v)).collect();
+        MaskedPool::new(&rows)
     }
 
     #[test]
@@ -593,7 +599,7 @@ mod tests {
                     .copied()
                     .filter(|r| analysis.error_rows.binary_search(r).is_err())
                     .collect();
-                cz.train_pattern(pi, lp, &rows, &analysis.masked);
+                cz.train_pattern(pi, lp, &rows, analysis.masked_pool());
             }
             cz
         };
@@ -608,7 +614,7 @@ mod tests {
         let mut out: Fills = pairs
             .into_iter()
             .filter_map(|(pi, row)| {
-                let value = &analysis.masked[row];
+                let value = analysis.masked(row);
                 let dag = analysis.profile.patterns[pi]
                     .compiled
                     .dag_for_len(value.len());

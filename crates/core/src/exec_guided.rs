@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 
 use crate::config::SemanticMode;
-use crate::pipeline::{ColumnAnalysis, ColumnReport, DataVinci};
+use crate::pipeline::{masked_pool_of, ColumnAnalysis, ColumnReport, DataVinci};
 use crate::session::AnalysisSession;
 use datavinci_formula::{ColumnProgram, ExecutionGroups};
 use datavinci_profile::profile_column;
@@ -156,21 +156,21 @@ impl DataVinci {
                 .abstractor_ref()
                 .abstract_column(column.name(), &values),
         };
-        let masked = abstraction.masked_strings();
+        let masked = masked_pool_of(&abstraction);
 
         // Learn patterns over success inputs only.
         let success_masked: Vec<datavinci_regex::MaskedString> = groups
             .successes
             .iter()
-            .map(|&r| masked[r].clone())
+            .map(|&r| masked.value(r).clone())
             .collect();
         let mut profile = profile_column(&success_masked, &self.config().profiler);
         // Re-evaluate each pattern's rows against the FULL column so row
         // indices and coverage line up with the table.
-        let n = masked.len();
+        let n = masked.n_rows();
         for lp in &mut profile.patterns {
-            let hits = lp.compiled.matches_many(&masked);
-            lp.rows = (0..n).filter(|&r| hits[r]).collect();
+            let hits = lp.compiled.matches_many(masked.distinct_values());
+            lp.rows = (0..n).filter(|&r| hits[masked.distinct_index(r)]).collect();
             lp.coverage = if n == 0 {
                 0.0
             } else {
@@ -188,7 +188,7 @@ impl DataVinci {
             values,
             pool,
             abstraction,
-            masked,
+            masked_pool: masked,
             profile,
             significant,
             error_rows,

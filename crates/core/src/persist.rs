@@ -35,7 +35,7 @@ use crate::features::{FeatureSet, Predicate};
 use crate::pipeline::{ColumnAnalysis, ColumnReport};
 use crate::session::SessionSnapshot;
 use crate::system::{Detection, RepairCandidate, RepairSuggestion};
-use datavinci_profile::{ColumnProfile, LearnedPattern};
+use datavinci_profile::{ColumnProfile, LearnedPattern, MaskedPool};
 use datavinci_regex::{
     CharClass, CompiledPattern, MaskAlphabet, MaskId, MaskedString, Pattern, Tok,
 };
@@ -439,8 +439,9 @@ fn decode_masked_value(r: &mut Reader<'_>) -> Result<MaskedValue, PersistError> 
 }
 
 fn encode_abstraction(out: &mut Vec<u8>, a: &AbstractedColumn) {
-    put_len(out, a.values.len());
-    for mv in &a.values {
+    // One value per row, as the format has always stored it.
+    put_len(out, a.n_rows());
+    for mv in a.values() {
         encode_masked_value(out, mv);
     }
     encode_alphabet(out, &a.alphabet);
@@ -468,11 +469,7 @@ fn decode_abstraction(r: &mut Reader<'_>) -> Result<AbstractedColumn, PersistErr
         let text = r.str()?;
         defaults.insert(id, text);
     }
-    Ok(AbstractedColumn {
-        values,
-        alphabet,
-        defaults,
-    })
+    Ok(AbstractedColumn::from_rows(values, alphabet, defaults))
 }
 
 // ----------------------------------------------------------------- profile
@@ -613,9 +610,10 @@ pub fn encode_column_analysis(analysis: &ColumnAnalysis, out: &mut Vec<u8>) {
     put_usize(out, analysis.col);
     encode_str_vec(out, &analysis.values);
     encode_abstraction(out, &analysis.abstraction);
-    put_len(out, analysis.masked.len());
-    for ms in &analysis.masked {
-        encode_masked_string(out, ms);
+    let masked = analysis.masked_pool();
+    put_len(out, masked.n_rows());
+    for row in 0..masked.n_rows() {
+        encode_masked_string(out, masked.value(row));
     }
     encode_profile(out, &analysis.profile);
     encode_usize_vec(out, &analysis.significant);
@@ -644,7 +642,7 @@ pub fn decode_column_analysis(r: &mut Reader<'_>) -> Result<ColumnAnalysis, Pers
         values: Arc::new(values),
         pool,
         abstraction,
-        masked,
+        masked_pool: Arc::new(MaskedPool::new(&masked)),
         profile,
         significant,
         error_rows,

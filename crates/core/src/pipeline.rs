@@ -43,8 +43,9 @@ pub struct ColumnAnalysis {
     pub pool: Arc<ValuePool>,
     /// The semantic abstraction (mask occurrences, defaults).
     pub abstraction: AbstractedColumn,
-    /// Masked values, one per row.
-    pub masked: Vec<MaskedString>,
+    /// The masked values, interned: the pool the profiler learned from,
+    /// shared with repair. Read rows through [`ColumnAnalysis::masked`].
+    pub(crate) masked_pool: Arc<MaskedPool>,
     /// Learned pattern profile.
     pub profile: ColumnProfile,
     /// Indices (into `profile.patterns`) of significant patterns.
@@ -57,6 +58,19 @@ pub struct ColumnAnalysis {
 }
 
 impl ColumnAnalysis {
+    /// Row `row`'s masked value.
+    ///
+    /// # Panics
+    /// When `row` is out of range.
+    pub fn masked(&self, row: usize) -> &MaskedString {
+        self.masked_pool.value(row)
+    }
+
+    /// The interned masked values (one entry per distinct masked string).
+    pub fn masked_pool(&self) -> &MaskedPool {
+        &self.masked_pool
+    }
+
     /// Rendered significant patterns (paper notation).
     pub fn significant_patterns(&self) -> Vec<String> {
         self.significant
@@ -214,11 +228,12 @@ impl DataVinci {
         let column = session.table().column(col).expect("column index in range");
         let values = session.column_values(col);
         let pool = session.value_pool(col);
-        let (abstraction, masked) = self.abstract_values(column.name(), &values);
-        let profile = {
+        let abstraction = self.abstract_values(column.name(), &values);
+        let (masked, profile) = {
             let _span = telemetry::span(stages::PROFILE);
-            let mpool = MaskedPool::new(&masked);
-            profile_column_pooled(&masked, &mpool, &self.cfg.profiler)
+            let masked = masked_pool_of(&abstraction);
+            let profile = profile_column_pooled(&masked, &self.cfg.profiler);
+            (masked, profile)
         };
         self.detect_with_profile(col, values, pool, abstraction, masked, profile)
     }
@@ -259,31 +274,25 @@ impl DataVinci {
         } else {
             session.value_pool(col)
         };
-        let (abstraction, masked) = self.abstract_values(column.name(), &values);
-        let profile = {
+        let abstraction = self.abstract_values(column.name(), &values);
+        let (masked, profile) = {
             let _span = telemetry::span(stages::PROFILE);
-            let mpool = MaskedPool::new(&masked);
-            rescore_profile_pooled(&prior.profile, &masked, &mpool)
+            let masked = masked_pool_of(&abstraction);
+            let profile = rescore_profile_pooled(&prior.profile, &masked);
+            (masked, profile)
         };
         self.detect_with_profile(col, values, pool, abstraction, masked, profile)
     }
 
-    /// ⓪ Abstraction: semantic abstraction + masked strings over rendered
-    /// values.
-    fn abstract_values(
-        &self,
-        column_name: &str,
-        values: &[String],
-    ) -> (AbstractedColumn, Vec<MaskedString>) {
+    /// ⓪ Abstraction: the semantic abstraction of the rendered values.
+    fn abstract_values(&self, column_name: &str, values: &[String]) -> AbstractedColumn {
         let _span = telemetry::span(stages::MASK);
-        let abstraction = match self.cfg.semantics {
+        match self.cfg.semantics {
             SemanticMode::None => AbstractedColumn::plain(values),
             SemanticMode::Full | SemanticMode::Limited => {
                 self.abstractor.abstract_column(column_name, values)
             }
-        };
-        let masked = abstraction.masked_strings();
-        (abstraction, masked)
+        }
     }
 
     /// ①–② Significance + detection over a finished profile.
@@ -293,7 +302,7 @@ impl DataVinci {
         values: Arc<Vec<String>>,
         pool: Arc<ValuePool>,
         abstraction: AbstractedColumn,
-        masked: Vec<MaskedString>,
+        masked_pool: Arc<MaskedPool>,
         profile: ColumnProfile,
     ) -> ColumnAnalysis {
         let _span = telemetry::span(stages::DETECT);
@@ -322,25 +331,27 @@ impl DataVinci {
             // be searched (they would break the sort mid-loop).
             let syntactic = error_rows.len();
             // The normalization verdict is a pure function of (value,
-            // abstraction), so it is computed once per distinct value and
-            // shared across duplicate rows; rows whose abstraction differs
-            // despite an equal value (prompt batches can disagree) get
-            // their own verdict.
-            let mut verdicts: Vec<Vec<(usize, bool)>> = vec![Vec::new(); pool.n_distinct()];
+            // abstracted value), so it is computed once per distinct pair
+            // and shared across duplicate rows; rows whose abstraction
+            // differs despite an equal value (prompt batches can disagree)
+            // get their own verdict.
+            let mut verdicts: Vec<Vec<(u32, bool)>> = vec![Vec::new(); pool.n_distinct()];
             for row in 0..values.len() {
                 if error_rows[..syntactic].binary_search(&row).is_ok() {
                     continue;
                 }
                 let di = pool.distinct_index(row);
+                let ai = abstraction.row_to_distinct[row];
                 let cached = verdicts[di]
                     .iter()
-                    .find(|&&(rep, _)| abstraction.values[rep] == abstraction.values[row])
+                    .find(|&&(a, _)| a == ai)
                     .map(|&(_, v)| v);
                 let normalized = match cached {
                     Some(v) => v,
                     None => {
-                        let v = abstraction.concretize(row, &masked[row]) != values[row];
-                        verdicts[di].push((row, v));
+                        let masked = &abstraction.value(row).masked;
+                        let v = abstraction.concretize(row, masked) != values[row];
+                        verdicts[di].push((ai, v));
                         v
                     }
                 };
@@ -357,7 +368,7 @@ impl DataVinci {
             values,
             pool,
             abstraction,
-            masked,
+            masked_pool,
             profile,
             significant,
             error_rows,
@@ -454,7 +465,7 @@ impl DataVinci {
         clean_values: &mut ClosestValues<'_>,
     ) -> Vec<RepairCandidate> {
         let original = analysis.values[row].as_str();
-        let value = &analysis.masked[row];
+        let value = analysis.masked(row);
         telemetry::counter("repair.dp_runs", analysis.significant.len() as u64);
         let mut out: Vec<RepairCandidate> = Vec::new();
         for &pi in &analysis.significant {
@@ -535,6 +546,15 @@ impl DataVinci {
         }
         report
     }
+}
+
+/// The profiler's pool over an abstraction's masked values, interned from
+/// its distinct values rather than from every row.
+pub(crate) fn masked_pool_of(abstraction: &AbstractedColumn) -> Arc<MaskedPool> {
+    Arc::new(MaskedPool::from_interned(
+        &abstraction.distinct,
+        &abstraction.row_to_distinct,
+    ))
 }
 
 impl CleaningSystem for DataVinci {

@@ -396,7 +396,7 @@ pub(crate) mod tests {
     /// merged (merged groups carry optional positions).
     fn groups_with_merges(draws: &[(Vec<usize>, usize)]) -> Vec<GroupProfile> {
         let values: Vec<MaskedString> = draws.iter().map(generated_value).collect();
-        let mut groups = group_by_shape(&values, &MaskedPool::new(&values));
+        let mut groups = group_by_shape(&MaskedPool::new(&values));
         let merged: Vec<GroupProfile> = groups
             .windows(2)
             .filter_map(|w| try_merge(&w[0], &w[1], &MergeConfig::default()))

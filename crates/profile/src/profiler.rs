@@ -101,20 +101,15 @@ impl ColumnProfile {
 
 /// Learns up to `cfg.max_patterns` patterns over the column values.
 pub fn profile_column(values: &[MaskedString], cfg: &ProfilerConfig) -> ColumnProfile {
-    profile_column_pooled(values, &MaskedPool::new(values), cfg)
+    profile_column_pooled(&MaskedPool::new(values), cfg)
 }
 
-/// [`profile_column`] against a pre-interned [`MaskedPool`] over the same
-/// values — table-scoped analysis sessions intern each column's masked
-/// values once and share the pool between profiling, re-scoring, and
-/// detection instead of re-deduplicating per call.
-pub fn profile_column_pooled(
-    values: &[MaskedString],
-    dedup: &MaskedPool,
-    cfg: &ProfilerConfig,
-) -> ColumnProfile {
-    assert_eq!(dedup.n_rows(), values.len(), "pool must cover the column");
-    let n = values.len();
+/// [`profile_column`] over a pre-interned [`MaskedPool`] of the column's
+/// values — the pipeline builds each column's pool once from its semantic
+/// abstraction and shares it between profiling, re-scoring, detection and
+/// repair instead of re-deduplicating per call.
+pub fn profile_column_pooled(dedup: &MaskedPool, cfg: &ProfilerConfig) -> ColumnProfile {
+    let n = dedup.n_rows();
     if n == 0 {
         return ColumnProfile::default();
     }
@@ -154,7 +149,7 @@ pub fn profile_column_pooled(
     // 1. Group values by unit signature.
     let groups = {
         let _span = telemetry::span("profile.group");
-        group_by_shape(values, dedup)
+        group_by_shape(dedup)
     };
     // 2. Greedy agglomerative merging under the threshold.
     let (groups, merge_counts) = {
@@ -180,7 +175,7 @@ pub fn profile_column_pooled(
             }
             seen.push(pattern.clone());
             let compiled = CompiledPattern::compile(pattern.clone());
-            let rows = dedup.member_rows(&compiled, values);
+            let rows = dedup.member_rows(&compiled);
             let coverage = rows.len() as f64 / n as f64;
             learned.push(LearnedPattern {
                 pattern,
@@ -210,12 +205,12 @@ pub fn profile_column_pooled(
 /// grouped (and group stats absorbed) in row order, so the result is
 /// byte-identical to tokenizing every row — duplicates just reuse their
 /// distinct value's atoms.
-pub(crate) fn group_by_shape(values: &[MaskedString], dedup: &MaskedPool) -> Vec<GroupProfile> {
+pub(crate) fn group_by_shape(dedup: &MaskedPool) -> Vec<GroupProfile> {
     let mut shapes: Vec<Option<DistinctShape>> = (0..dedup.n_distinct()).map(|_| None).collect();
     let mut groups: HashMap<Vec<AtomKind>, GroupProfile> = HashMap::new();
-    for (row, value) in values.iter().enumerate() {
-        let shape = shapes[dedup.row_to_distinct[row]].get_or_insert_with(|| {
-            let atoms = tokenize(value);
+    for (row, &di) in dedup.row_to_distinct.iter().enumerate() {
+        let shape = shapes[di].get_or_insert_with(|| {
+            let atoms = tokenize(&dedup.distinct[di]);
             let sig = signature(&atoms);
             let (p, k) = smallest_period(&sig);
             let key: Vec<AtomKind> = sig[..p].to_vec();
@@ -368,9 +363,11 @@ struct DistinctShape {
 /// value once and expands hits back to rows (weighted by multiplicity, i.e.
 /// by how many rows carry the value).
 ///
-/// Public so a table-scoped analysis session can intern a column's masked
-/// values once and hand the pool to [`profile_column_pooled`] and
-/// [`rescore_profile_pooled`] instead of each call re-deduplicating.
+/// Public so the pipeline can intern a column's masked values once — from
+/// the semantic abstraction's distinct values ([`MaskedPool::from_interned`])
+/// — and hand the pool to [`profile_column_pooled`],
+/// [`rescore_profile_pooled`] and the repair loop instead of each
+/// re-deduplicating.
 #[derive(Debug, Clone, Default)]
 pub struct MaskedPool {
     distinct: Vec<MaskedString>,
@@ -407,6 +404,67 @@ impl MaskedPool {
         }
     }
 
+    /// The pool of the rows `row_to_distinct` spells over an already
+    /// interned value list: row `r` carries `interned[row_to_distinct[r]]`.
+    ///
+    /// Equal to [`MaskedPool::new`] over the expanded rows, but hashes each
+    /// interned value once instead of every row; interned values that mask
+    /// to one string (`{country(US)}-1`, `{country(FR)}-1`) merge.
+    ///
+    /// # Panics
+    /// When a row's index is out of `interned`'s range.
+    pub fn from_interned<T: AsRef<MaskedString>>(
+        interned: &[T],
+        row_to_distinct: &[u32],
+    ) -> MaskedPool {
+        const UNSEEN: usize = usize::MAX;
+        let mut index: HashMap<&MaskedString, usize> = HashMap::new();
+        let mut remap: Vec<usize> = vec![UNSEEN; interned.len()];
+        let mut distinct: Vec<MaskedString> = Vec::new();
+        let mut counts: Vec<usize> = Vec::new();
+        let row_to_distinct: Vec<usize> = row_to_distinct
+            .iter()
+            .map(|&i| {
+                let slot = &mut remap[i as usize];
+                if *slot == UNSEEN {
+                    let v = interned[i as usize].as_ref();
+                    *slot = *index.entry(v).or_insert_with(|| {
+                        distinct.push(v.clone());
+                        counts.push(0);
+                        distinct.len() - 1
+                    });
+                }
+                counts[*slot] += 1;
+                *slot
+            })
+            .collect();
+        let ascii = AsciiBatch::from_values(&distinct);
+        MaskedPool {
+            distinct,
+            row_to_distinct,
+            counts,
+            ascii,
+        }
+    }
+
+    /// Row `row`'s value.
+    ///
+    /// # Panics
+    /// When `row` is out of range.
+    pub fn value(&self, row: usize) -> &MaskedString {
+        &self.distinct[self.row_to_distinct[row]]
+    }
+
+    /// Index of row `row`'s value in [`MaskedPool::distinct_values`].
+    pub fn distinct_index(&self, row: usize) -> usize {
+        self.row_to_distinct[row]
+    }
+
+    /// The distinct values, in first-occurrence order.
+    pub fn distinct_values(&self) -> &[MaskedString] {
+        &self.distinct
+    }
+
     /// Number of rows the pool covers.
     pub fn n_rows(&self) -> usize {
         self.row_to_distinct.len()
@@ -423,14 +481,11 @@ impl MaskedPool {
     /// bytes when the distinct set packed as ASCII. The test-only NFA
     /// oracle deliberately stays per-row, so the differential comparison
     /// also covers the dedup-and-expand and ASCII-packing steps.
-    #[cfg_attr(not(test), allow(unused_variables))]
-    fn member_rows(&self, compiled: &CompiledPattern, values: &[MaskedString]) -> Vec<usize> {
+    fn member_rows(&self, compiled: &CompiledPattern) -> Vec<usize> {
         #[cfg(test)]
         if NFA_ORACLE.with(std::cell::Cell::get) {
-            return values
-                .iter()
-                .enumerate()
-                .filter_map(|(row, v)| compiled.matches_nfa(v).then_some(row))
+            return (0..self.n_rows())
+                .filter(|&row| compiled.matches_nfa(self.value(row)))
                 .collect();
         }
         let hits = match &self.ascii {
@@ -472,18 +527,13 @@ fn sort_by_coverage(patterns: &mut Vec<LearnedPattern>) {
 /// grows but its old rows are unchanged, the previously learned patterns
 /// still describe the column language and only membership needs refreshing.
 pub fn rescore_profile(prior: &ColumnProfile, values: &[MaskedString]) -> ColumnProfile {
-    rescore_profile_pooled(prior, values, &MaskedPool::new(values))
+    rescore_profile_pooled(prior, &MaskedPool::new(values))
 }
 
-/// [`rescore_profile`] against a pre-interned [`MaskedPool`] over the same
+/// [`rescore_profile`] over a pre-interned [`MaskedPool`] of the column's
 /// values (see [`profile_column_pooled`]).
-pub fn rescore_profile_pooled(
-    prior: &ColumnProfile,
-    values: &[MaskedString],
-    dedup: &MaskedPool,
-) -> ColumnProfile {
-    assert_eq!(dedup.n_rows(), values.len(), "pool must cover the column");
-    let n = values.len();
+pub fn rescore_profile_pooled(prior: &ColumnProfile, dedup: &MaskedPool) -> ColumnProfile {
+    let n = dedup.n_rows();
     let mut patterns: Vec<LearnedPattern> = prior
         .patterns
         .iter()
@@ -492,7 +542,7 @@ pub fn rescore_profile_pooled(
             // shares the prior's warm memo tables, so an append-only
             // re-score pays one table lookup per token instead of a fresh
             // NFA walk.
-            let rows = dedup.member_rows(&lp.compiled, values);
+            let rows = dedup.member_rows(&lp.compiled);
             let coverage = if n == 0 {
                 0.0
             } else {
@@ -569,7 +619,7 @@ mod tests {
     /// Runs both merge loops over the groups of `values` and asserts they
     /// agree group for group; returns `(cost DPs, oracle try_merge calls)`.
     fn assert_merge_loops_agree(values: &[MaskedString], cfg: &ProfilerConfig) -> (u64, u64) {
-        let groups = group_by_shape(values, &MaskedPool::new(values));
+        let groups = group_by_shape(&MaskedPool::new(values));
         let n_groups = groups.len() as u64;
         let (fast, counts) = merge_groups(groups.clone(), cfg);
         let (oracle, calls) = merge_groups_oracle(groups, cfg);
@@ -642,7 +692,7 @@ mod tests {
             .map(|s| MaskedString::from_plain(s))
             .collect();
         let cfg = ProfilerConfig::default();
-        let groups = group_by_shape(&values, &MaskedPool::new(&values));
+        let groups = group_by_shape(&MaskedPool::new(&values));
         let mut dp = Vec::new();
         let mut cost = |i: usize, j: usize| {
             merge_cost(&groups[i], &groups[j], &cfg.merge, &mut dp).map(f64::to_bits)
@@ -803,10 +853,82 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         let direct = profile_column(&values, &cfg);
-        let pooled = profile_column_pooled(&values, &pool, &cfg);
+        let pooled = profile_column_pooled(&pool, &cfg);
         assert_eq!(canon(&direct), canon(&pooled));
-        let rescored = rescore_profile_pooled(&direct, &values, &pool);
+        let rescored = rescore_profile_pooled(&direct, &pool);
         assert_eq!(canon(&rescore_profile(&direct, &values)), canon(&rescored));
+    }
+
+    /// Every observable part of a pool, for equality checks.
+    type PoolParts = (
+        Vec<MaskedString>,
+        Vec<usize>,
+        Vec<usize>,
+        Option<Vec<Vec<u8>>>,
+    );
+
+    fn pool_parts(pool: &MaskedPool) -> PoolParts {
+        (
+            pool.distinct.clone(),
+            pool.row_to_distinct.clone(),
+            pool.counts.clone(),
+            pool.ascii
+                .as_ref()
+                .map(|b| (0..b.len()).map(|i| b.value(i).to_vec()).collect()),
+        )
+    }
+
+    #[test]
+    fn from_interned_merges_values_sharing_a_masked_string() {
+        // `{country(US)}-1` and `{country(FR)}-1` are two interned values
+        // with one masked string `⟨m0⟩-1`.
+        let mask = |rest: &str| {
+            let mut toks = vec![datavinci_regex::Tok::Mask(datavinci_regex::MaskId(0))];
+            toks.extend(rest.chars().map(datavinci_regex::Tok::Char));
+            MaskedString::from_toks(toks)
+        };
+        let interned = vec![mask("-1"), MaskedString::from_plain("x"), mask("-1")];
+        let ids = [2u32, 0, 1, 2, 0];
+        let rows: Vec<MaskedString> = ids.iter().map(|&i| interned[i as usize].clone()).collect();
+        let pool = MaskedPool::from_interned(&interned, &ids);
+        assert_eq!(pool.n_distinct(), 2);
+        assert_eq!(pool_parts(&pool), pool_parts(&MaskedPool::new(&rows)));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(128))]
+
+        /// `from_interned` equals `new` over the expanded rows: the same
+        /// distinct values in first-occurrence order, row map, counts and
+        /// ASCII batch — whatever order the interned list is in, with
+        /// duplicate and unused interned entries.
+        #[test]
+        fn from_interned_equals_new_over_expanded_rows(
+            interned in proptest::collection::vec(
+                (0..4usize, "[ab1é-]{0,3}"),
+                1..8,
+            ),
+            picks in proptest::collection::vec(0..64u32, 0..40),
+        ) {
+            let interned: Vec<MaskedString> = interned
+                .iter()
+                .map(|(masks, rest)| {
+                    let mut toks: Vec<datavinci_regex::Tok> = (0..*masks % 3)
+                        .map(|m| datavinci_regex::Tok::Mask(datavinci_regex::MaskId(m as u16)))
+                        .collect();
+                    toks.extend(rest.chars().map(datavinci_regex::Tok::Char));
+                    MaskedString::from_toks(toks)
+                })
+                .collect();
+            let ids: Vec<u32> = picks.iter().map(|&p| p % interned.len() as u32).collect();
+            let rows: Vec<MaskedString> =
+                ids.iter().map(|&i| interned[i as usize].clone()).collect();
+            let pool = MaskedPool::from_interned(&interned, &ids);
+            proptest::prop_assert_eq!(pool_parts(&pool), pool_parts(&MaskedPool::new(&rows)));
+            for (row, v) in rows.iter().enumerate() {
+                proptest::prop_assert_eq!(pool.value(row), v);
+            }
+        }
     }
 
     #[test]

@@ -18,7 +18,8 @@ pub(crate) struct Interned<'a> {
 
 /// Interns `values`, preserving first-occurrence order.
 pub(crate) fn intern_values<'a, S: AsRef<str>>(values: &'a [S]) -> Interned<'a> {
-    let mut index: std::collections::HashMap<&str, usize> = std::collections::HashMap::new();
+    let mut index: std::collections::HashMap<&str, usize> =
+        std::collections::HashMap::with_capacity(values.len());
     let mut distinct: Vec<&str> = Vec::new();
     let mut counts: Vec<usize> = Vec::new();
     let mut row_to_distinct: Vec<usize> = Vec::with_capacity(values.len());

@@ -39,17 +39,21 @@ pub struct MaskCacheStats {
     pub misses: u64,
 }
 
+/// One value's pass-1 span hits, shared between the memo and its readers.
+type SharedHits = Arc<[(Span, Hit)]>;
+
 /// Memoized per-value gazetteer hits.
 ///
 /// `GazetteerLlm`'s per-value hit sweep is a pure function of the value (spans ×
 /// fuzzy lookups — the expensive part of masking), so its results are
-/// shared across prompt batches, columns, and engine runs. Thread-safe: the
+/// shared across prompt batches, columns, and engine runs; a hit hands out
+/// another reference to the memoized list instead of copying it. Thread-safe: the
 /// engine's worker pool masks columns concurrently through one model, and
 /// analysis sessions hold an [`Arc`] handle to the same cache so its reuse
 /// shows up in session telemetry.
 #[derive(Debug)]
 pub struct MaskCache {
-    hits: Mutex<HashMap<String, Vec<(Span, Hit)>>>,
+    hits: Mutex<HashMap<String, SharedHits>>,
     capacity: usize,
     hit_count: AtomicU64,
     miss_count: AtomicU64,
@@ -108,16 +112,16 @@ impl MaskCache {
         &self,
         value: &str,
         compute: impl FnOnce(&str) -> Vec<(Span, Hit)>,
-    ) -> Vec<(Span, Hit)> {
+    ) -> SharedHits {
         if let Some(hit) = self.hits.lock().expect("mask cache poisoned").get(value) {
             self.hit_count.fetch_add(1, Ordering::Relaxed);
-            return hit.clone();
+            return Arc::clone(hit);
         }
         self.miss_count.fetch_add(1, Ordering::Relaxed);
-        let computed = compute(value);
+        let computed: SharedHits = compute(value).into();
         let mut map = self.hits.lock().expect("mask cache poisoned");
         if map.len() < self.capacity {
-            map.insert(value.to_string(), computed.clone());
+            map.insert(value.to_string(), Arc::clone(&computed));
         }
         computed
     }
@@ -217,11 +221,24 @@ impl GazetteerLlm {
     /// the per-row reference (`mask_column_rowwise`, a unit-test oracle) by
     /// construction — the aggregates are linear in the rows and the
     /// per-value work is a pure function of the value.
-    pub fn mask_column(&self, values: &[String]) -> Vec<String> {
+    pub fn mask_column<S: AsRef<str>>(&self, values: &[S]) -> Vec<String> {
+        let (pool, masked) = self.mask_distinct(values);
+        pool.row_to_distinct
+            .iter()
+            .map(|&di| masked[di].clone())
+            .collect()
+    }
+
+    /// [`GazetteerLlm::mask_column`] before the expansion to rows: the
+    /// interned batch and one masked line per distinct value.
+    fn mask_distinct<'a, S: AsRef<str>>(
+        &self,
+        values: &'a [S],
+    ) -> (crate::intern::Interned<'a>, Vec<String>) {
         let pool = crate::intern::intern_values(values);
         // Pass 1 runs once per distinct value, through the hit memo.
         let (mut swept, mut work) = (0u64, FuzzyWork::default());
-        let all_hits: Vec<Vec<(Span, Hit)>> = pool
+        let all_hits: Vec<SharedHits> = pool
             .distinct
             .iter()
             .map(|v| {
@@ -234,11 +251,8 @@ impl GazetteerLlm {
         telemetry::counter("mask.value_hits", swept);
         telemetry::counter("gazetteer.fuzzy_lookups", work.lookups);
         telemetry::counter("gazetteer.fuzzy_compares", work.compares);
-        let masked = self.mask_values_weighted(&pool.distinct, &pool.counts, all_hits);
-        pool.row_to_distinct
-            .iter()
-            .map(|&di| masked[di].clone())
-            .collect()
+        let masked = self.mask_values_weighted(&pool.distinct, &pool.counts, &all_hits);
+        (pool, masked)
     }
 
     /// The per-row reference implementation of [`GazetteerLlm::mask_column`]:
@@ -252,26 +266,28 @@ impl GazetteerLlm {
         let mut work = FuzzyWork::default();
         let all_hits: Vec<Vec<(Span, Hit)>> =
             refs.iter().map(|v| self.value_hits(v, &mut work)).collect();
-        self.mask_values_weighted(&refs, &weights, all_hits)
+        self.mask_values_weighted(&refs, &weights, &all_hits)
     }
 
     /// Masks one batch of values, each carrying a multiplicity weight;
-    /// `all_hits` holds each value's pass-1 span hits.
-    fn mask_values_weighted(
+    /// `all_hits` holds each value's pass-1 span hits. Per-type aggregates
+    /// live in arrays indexed by the type's position in
+    /// [`SemanticType::ALL`].
+    fn mask_values_weighted<H: AsRef<[(Span, Hit)]>>(
         &self,
         values: &[&str],
         weights: &[usize],
-        all_hits: Vec<Vec<(Span, Hit)>>,
+        all_hits: &[H],
     ) -> Vec<String> {
         // Type support across the batch: in how many rows does each type
         // appear at all? (Each value counts once per type, times its weight.)
-        let mut support: HashMap<SemanticType, usize> = HashMap::new();
+        let mut support = [0usize; N_TYPES];
         for (hits, &w) in all_hits.iter().zip(weights) {
-            let mut seen: Vec<SemanticType> = Vec::new();
-            for (_, h) in hits {
-                if !seen.contains(&h.semantic_type) {
-                    seen.push(h.semantic_type);
-                    *support.entry(h.semantic_type).or_insert(0) += w;
+            let mut seen = 0u32;
+            for (_, h) in hits.as_ref() {
+                if seen & type_bit(h.semantic_type) == 0 {
+                    seen |= type_bit(h.semantic_type);
+                    support[h.semantic_type as usize] += w;
                 }
             }
         }
@@ -282,45 +298,45 @@ impl GazetteerLlm {
             .map(|(_, &w)| w)
             .sum::<usize>()
             .max(1);
-        let kept: Vec<SemanticType> = SemanticType::ALL
+        let kept: u32 = SemanticType::ALL
             .into_iter()
-            .filter(|t| {
-                support.get(t).is_some_and(|&c| {
-                    c >= self.cfg.min_type_count && c as f64 / n as f64 >= self.cfg.min_type_support
-                })
+            .filter(|&t| {
+                let c = support[t as usize];
+                c > 0
+                    && c >= self.cfg.min_type_count
+                    && c as f64 / n as f64 >= self.cfg.min_type_support
             })
-            .collect();
+            .fold(0, |kept, t| kept | type_bit(t));
 
-        // Majority surface form per kept type (among exact hits, weighted).
-        let mut form_votes: HashMap<SemanticType, HashMap<usize, usize>> = HashMap::new();
+        // Majority surface form per kept type (among exact hits, weighted):
+        // the most-voted form, ties to the lowest form index.
+        let mut form_votes: [Vec<usize>; N_TYPES] = Default::default();
         for (hits, &w) in all_hits.iter().zip(weights) {
-            for (_, h) in hits {
-                if h.distance == 0 && kept.contains(&h.semantic_type) {
-                    *form_votes
-                        .entry(h.semantic_type)
-                        .or_default()
-                        .entry(h.form)
-                        .or_insert(0) += w;
+            for (_, h) in hits.as_ref() {
+                if h.distance == 0 && kept & type_bit(h.semantic_type) != 0 {
+                    let votes = &mut form_votes[h.semantic_type as usize];
+                    if votes.len() <= h.form {
+                        votes.resize(h.form + 1, 0);
+                    }
+                    votes[h.form] += w;
                 }
             }
         }
-        let majority_form: HashMap<SemanticType, usize> = form_votes
-            .into_iter()
-            .map(|(t, votes)| {
-                let best = votes
-                    .into_iter()
-                    .max_by_key(|&(form, count)| (count, std::cmp::Reverse(form)))
-                    .map(|(form, _)| form)
-                    .unwrap_or(0);
-                (t, best)
-            })
-            .collect();
+        let majority_form: [Option<usize>; N_TYPES] = std::array::from_fn(|t| {
+            let mut best: Option<(usize, usize)> = None;
+            for (form, &count) in form_votes[t].iter().enumerate() {
+                if count > 0 && best.is_none_or(|(_, c)| count > c) {
+                    best = Some((form, count));
+                }
+            }
+            best.map(|(form, _)| form)
+        });
 
         // Pass 2: greedy non-overlapping masking, once per distinct value.
         values
             .iter()
-            .zip(&all_hits)
-            .map(|(v, hits)| self.mask_value(v, hits, &kept, &majority_form))
+            .zip(all_hits)
+            .map(|(v, hits)| self.mask_value(v, hits.as_ref(), kept, &majority_form))
             .collect()
     }
 
@@ -395,19 +411,21 @@ impl GazetteerLlm {
         out
     }
 
+    /// Masks one value; `kept` is a [`type_bit`] set and `majority_form`
+    /// is indexed by type.
     fn mask_value(
         &self,
         value: &str,
         hits: &[(Span, Hit)],
-        kept: &[SemanticType],
-        majority_form: &HashMap<SemanticType, usize>,
+        kept: u32,
+        majority_form: &[Option<usize>; N_TYPES],
     ) -> String {
         // Choose non-overlapping spans greedily (hits are already in
         // longest-first span order); prefer the kept type listed earliest in
         // SemanticType::ALL when a span is ambiguous.
         let mut chosen: Vec<(Span, Hit)> = Vec::new();
         for (span, hit) in hits {
-            if !kept.contains(&hit.semantic_type) {
+            if kept & type_bit(hit.semantic_type) == 0 {
                 continue;
             }
             if chosen.iter().any(|(s, _)| s.overlaps(span)) {
@@ -421,8 +439,8 @@ impl GazetteerLlm {
             let mut best = *hit;
             for (s2, h2) in hits {
                 if s2 == span
-                    && kept.contains(&h2.semantic_type)
-                    && type_rank(h2.semantic_type) < type_rank(best.semantic_type)
+                    && kept & type_bit(h2.semantic_type) != 0
+                    && (h2.semantic_type as usize) < (best.semantic_type as usize)
                 {
                     best = *h2;
                 }
@@ -442,10 +460,7 @@ impl GazetteerLlm {
             }
             let original: String = chars[span.start..span.start + span.len].iter().collect();
             let suggestion: String = if self.cfg.repair_in_mask {
-                let form = majority_form
-                    .get(&hit.semantic_type)
-                    .copied()
-                    .unwrap_or(hit.form);
+                let form = majority_form[hit.semantic_type as usize].unwrap_or(hit.form);
                 let form_text = hit.entry_form(form).unwrap_or_else(|| hit.form_text());
                 if hit.distance == 0 && form == hit.form && original.eq_ignore_ascii_case(form_text)
                 {
@@ -493,11 +508,13 @@ fn invert_visual_typos(s: &str) -> String {
         .collect()
 }
 
-fn type_rank(t: SemanticType) -> usize {
-    SemanticType::ALL
-        .iter()
-        .position(|x| *x == t)
-        .unwrap_or(usize::MAX)
+/// Number of semantic types; per-type arrays are indexed by `t as usize`,
+/// which is `t`'s position in [`SemanticType::ALL`] (declaration order).
+const N_TYPES: usize = SemanticType::ALL.len();
+
+/// `t`'s bit in a set of types.
+fn type_bit(t: SemanticType) -> u32 {
+    1 << t as u32
 }
 
 impl LanguageModel for GazetteerLlm {
@@ -507,8 +524,17 @@ impl LanguageModel for GazetteerLlm {
             "prompt must end with the output marker"
         );
         let values = parse_prompt_values(prompt);
-        let masked = self.mask_column(&values);
-        masked.join("\n")
+        let (pool, masked) = self.mask_distinct(&values);
+        // One line per row, newline-separated, written from the distinct
+        // masked lines.
+        let mut out = String::with_capacity(prompt.len());
+        for (i, &di) in pool.row_to_distinct.iter().enumerate() {
+            if i > 0 {
+                out.push('\n');
+            }
+            out.push_str(&masked[di]);
+        }
+        out
     }
 
     fn name(&self) -> &'static str {
@@ -661,6 +687,14 @@ mod tests {
         let out = llm.mask_column(&values);
         assert_eq!(llm.mask_cache().len(), 1);
         assert_eq!(out, llm.mask_column_rowwise(&values));
+    }
+
+    #[test]
+    fn type_indices_follow_all_order() {
+        for (i, t) in SemanticType::ALL.into_iter().enumerate() {
+            assert_eq!(t as usize, i, "{t:?}");
+        }
+        assert!(N_TYPES <= u32::BITS as usize);
     }
 
     #[test]

@@ -75,41 +75,49 @@ pub fn build_prompts(
     values: &[String],
     mask_types: &[SemanticType],
 ) -> Vec<PromptBatch> {
-    let pre = preamble(mask_types);
+    build_prompts_after(&preamble(mask_types), header, values)
+}
+
+/// [`build_prompts`] behind an already-built [`preamble`], so an abstractor
+/// renders its fixed preamble once instead of once per column.
+pub(crate) fn build_prompts_after(pre: &str, header: &str, values: &[String]) -> Vec<PromptBatch> {
     let fixed = format!("{pre}{COLUMN_MARKER}\nHeader: {header}\n{VALUES_MARKER}\n");
     let fixed_tokens = token_estimate(&fixed) + token_estimate(OUTPUT_MARKER) + 2;
 
     let mut batches = Vec::new();
-    let mut body = String::new();
+    let mut prompt = fixed.clone();
     let mut rows: Vec<usize> = Vec::new();
     let mut used = fixed_tokens;
+    let finish = |prompt: &mut String| {
+        prompt.push_str(OUTPUT_MARKER);
+        prompt.push('\n');
+    };
     for (i, v) in values.iter().enumerate() {
         // Each value appears in the prompt and again in the completion.
         let cost = 2 * (token_estimate(v) + 1);
         if !rows.is_empty() && used + cost > MAX_PROMPT_TOKENS {
+            finish(&mut prompt);
             batches.push(PromptBatch {
-                prompt: format!("{fixed}{body}{OUTPUT_MARKER}\n"),
+                prompt: std::mem::replace(&mut prompt, fixed.clone()),
                 rows: std::mem::take(&mut rows),
             });
-            body.clear();
             used = fixed_tokens;
         }
-        body.push_str(v);
-        body.push('\n');
+        prompt.push_str(v);
+        prompt.push('\n');
         rows.push(i);
         used += cost;
     }
     if !rows.is_empty() || batches.is_empty() {
-        batches.push(PromptBatch {
-            prompt: format!("{fixed}{body}{OUTPUT_MARKER}\n"),
-            rows,
-        });
+        finish(&mut prompt);
+        batches.push(PromptBatch { prompt, rows });
     }
     batches
 }
 
-/// Extracts the batch's values back out of a prompt (the mock LLM's "read").
-pub fn parse_prompt_values(prompt: &str) -> Vec<String> {
+/// Extracts the batch's values back out of a prompt (the mock LLM's "read"),
+/// borrowing each line from the prompt.
+pub fn parse_prompt_values(prompt: &str) -> Vec<&str> {
     let mut in_values = false;
     let mut out = Vec::new();
     for line in prompt.lines() {
@@ -117,7 +125,7 @@ pub fn parse_prompt_values(prompt: &str) -> Vec<String> {
             break;
         }
         if in_values {
-            out.push(line.to_string());
+            out.push(line);
         }
         if line == VALUES_MARKER {
             in_values = true;

@@ -7,7 +7,7 @@
 //! Run with: `cargo run --example repair_anatomy`
 
 use datavinci::core::{minimal_edit_program, AnalysisSession, Concretizer, DataVinciConfig};
-use datavinci::profile::{profile_plain, ProfilerConfig};
+use datavinci::profile::{profile_plain, MaskedPool, ProfilerConfig};
 use datavinci::regex::MaskedString;
 use datavinci::table::{Column, Table};
 
@@ -64,6 +64,7 @@ fn main() {
     println!("\n✓ every candidate lands in the significant pattern's language");
 }
 
-fn masked(values: &[&str]) -> Vec<MaskedString> {
-    values.iter().map(|v| MaskedString::from_plain(v)).collect()
+fn masked(values: &[&str]) -> MaskedPool {
+    let rows: Vec<MaskedString> = values.iter().map(|v| MaskedString::from_plain(v)).collect();
+    MaskedPool::new(&rows)
 }

@@ -21,7 +21,7 @@ fn abstract_col(values: &[&str]) -> datavinci::semantic::AbstractedColumn {
 fn quarters_are_never_masked_wholesale() {
     let c = abstract_col(&["Q4-2002", "Q3-2002", "Q32001"]);
     assert!(!c.has_masks());
-    for v in &c.values {
+    for v in c.values() {
         assert!(v.occurrences.is_empty());
     }
 }
@@ -30,7 +30,7 @@ fn quarters_are_never_masked_wholesale() {
 #[test]
 fn dotted_country_normalizes_to_column_form() {
     let c = abstract_col(&["US-1", "u.k.-392", "DE-7", "FR-9"]);
-    let occ = &c.values[1].occurrences;
+    let occ = &c.value(1).occurrences;
     assert_eq!(occ.len(), 1);
     assert_eq!(occ[0].semantic_type, SemanticType::Country);
     assert_eq!(occ[0].suggestion, "GB"); // ISO-2 column majority
