@@ -1,6 +1,6 @@
 //! Allocation-regression gate over the end-to-end hot path.
 //!
-//! The single-core overhaul (zero-copy ingestion, pooled profiling, arena
+//! The single-core overhaul (zero-copy ingestion, pooled profiling, value
 //! interning) is about allocation discipline as much as wall time — wall
 //! time flakes on a loaded CI machine, allocation counts do not. This test
 //! cleans the shared 120-row noisy column once to warm lazily-built state,
@@ -20,9 +20,9 @@ use datavinci_core::DataVinci;
 static ALLOC: alloc_meter::MeteredAlloc = alloc_meter::MeteredAlloc;
 
 /// Committed budget: allocations per row for one 120-row column clean.
-/// Measured 50.0/row with the semantic abstraction kept per distinct
-/// response line (56.3/row before; ≈268/row after the first hot-path
-/// overhaul); regressions past 2× that are structural.
+/// Measured 49.1/row with one interning per column, its abstraction's
+/// (49.8/row with a second, sorted value pool; ≈268/row after the first
+/// hot-path overhaul); regressions past 2× that are structural.
 const ALLOCS_PER_ROW_BUDGET: f64 = 100.0;
 
 #[test]

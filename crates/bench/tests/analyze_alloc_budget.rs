@@ -18,9 +18,10 @@ use datavinci_core::DataVinci;
 #[global_allocator]
 static ALLOC: alloc_meter::MeteredAlloc = alloc_meter::MeteredAlloc;
 
-/// Committed budget: allocations per row of one analysis. Measured 33.6/row
+/// Committed budget: allocations per row of one analysis. Measured 31.7/row
 /// with the abstraction parsed and pooled once per distinct response line
-/// (50.3/row when every row was parsed, cloned and re-interned).
+/// and no second value pool (33.5/row with one; 50.3/row when every row was
+/// parsed, cloned and re-interned).
 const ALLOCS_PER_ROW_BUDGET: f64 = 70.0;
 
 #[test]

@@ -148,7 +148,6 @@ impl DataVinci {
         let table = session.table();
         let column = table.column(col).expect("column in range");
         let values = session.column_values(col);
-        let pool = session.value_pool(col);
 
         let abstraction = match self.config().semantics {
             SemanticMode::None => AbstractedColumn::plain(&values),
@@ -186,7 +185,6 @@ impl DataVinci {
         ColumnAnalysis {
             col,
             values,
-            pool,
             abstraction,
             masked_pool: masked,
             profile,

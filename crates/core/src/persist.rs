@@ -17,8 +17,8 @@
 //!    bytes (hash maps are written in sorted key order), so byte equality
 //!    of encodings is value equality — the store's checksums and the
 //!    durability tests' identity assertions rely on this.
-//! 3. **Derived state is rebuilt, not stored.** Interning pools come back
-//!    via [`ValuePool::from_values`], compiled patterns via
+//! 3. **Derived state is rebuilt, not stored.** Masked pools come back
+//!    via [`MaskedPool::new`], compiled patterns via
 //!    [`CompiledPattern::compile`], feature-set constant caches via
 //!    [`FeatureSet::from_predicates`] — all deterministic functions of the
 //!    stored data, so a round trip reproduces behaviorally identical
@@ -40,7 +40,6 @@ use datavinci_regex::{
     CharClass, CompiledPattern, MaskAlphabet, MaskId, MaskedString, Pattern, Tok,
 };
 use datavinci_semantic::{AbstractedColumn, MaskCache, MaskOccurrence, MaskedValue, SemanticType};
-use datavinci_table::ValuePool;
 
 /// Maximum pattern nesting the decoder will follow. Learned patterns are a
 /// few levels deep; anything deeper is a corrupt or adversarial payload.
@@ -602,10 +601,6 @@ pub fn decode_column_report(r: &mut Reader<'_>) -> Result<ColumnReport, PersistE
 }
 
 /// Encodes a [`ColumnAnalysis`] onto `out`.
-///
-/// The interning pool is *not* written: it is rebuilt from the values on
-/// decode ([`ValuePool::from_values`] is deterministic), halving the
-/// payload for duplicate-heavy columns.
 pub fn encode_column_analysis(analysis: &ColumnAnalysis, out: &mut Vec<u8>) {
     put_usize(out, analysis.col);
     encode_str_vec(out, &analysis.values);
@@ -622,7 +617,7 @@ pub fn encode_column_analysis(analysis: &ColumnAnalysis, out: &mut Vec<u8>) {
 }
 
 /// Decodes a [`ColumnAnalysis`] from `r`, rebuilding the derived state
-/// (interning pool, compiled patterns).
+/// (masked pool, compiled patterns).
 pub fn decode_column_analysis(r: &mut Reader<'_>) -> Result<ColumnAnalysis, PersistError> {
     let col = r.usize()?;
     let values = decode_str_vec(r)?;
@@ -636,11 +631,9 @@ pub fn decode_column_analysis(r: &mut Reader<'_>) -> Result<ColumnAnalysis, Pers
     let significant = decode_usize_vec(r)?;
     let error_rows = decode_usize_vec(r)?;
     let semantic_only_rows = decode_usize_vec(r)?;
-    let pool = Arc::new(ValuePool::from_values(&values));
     Ok(ColumnAnalysis {
         col,
         values: Arc::new(values),
-        pool,
         abstraction,
         masked_pool: Arc::new(MaskedPool::new(&masked)),
         profile,
@@ -759,7 +752,7 @@ pub fn decode_feature_set(r: &mut Reader<'_>) -> Result<FeatureSet, PersistError
 
 /// Encodes the persistable skeleton of a [`SessionSnapshot`]: table shape,
 /// per-column fingerprints, and the learned feature set. Derived state
-/// (rendered matrix, row interner, pools) is omitted — a resumed session
+/// (rendered matrix, row interner, value vectors) is omitted — a resumed session
 /// rebuilds it lazily from the table.
 pub fn encode_snapshot(snapshot: &SessionSnapshot, out: &mut Vec<u8>) {
     encode_str_vec(out, snapshot.headers());
@@ -853,7 +846,6 @@ mod tests {
         let a = dv.repair_analysis_in(&session, &analysis);
         let b = dv.repair_analysis_in(&session, &back);
         assert_eq!(format!("{a:#?}"), format!("{b:#?}"));
-        assert_eq!(back.pool.n_distinct(), analysis.pool.n_distinct());
     }
 
     #[test]

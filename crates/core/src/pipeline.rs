@@ -4,8 +4,8 @@
 //! heuristic ranking ⑥.
 //!
 //! All table-scoped state — the rendered table, the generated
-//! [`crate::FeatureSet`] and its feature store, per-column value pools, and
-//! the semantic memos — lives on an [`AnalysisSession`] created once per
+//! [`crate::FeatureSet`] and its feature store, per-column rendered values,
+//! and the semantic memos — lives on an [`AnalysisSession`] created once per
 //! table clean and shared by every column (see [`DataVinci::clean_table`]).
 //! The table-taking entry points remain as thin wrappers that open a
 //! fresh session per call; they double as the "regenerate per repair"
@@ -22,26 +22,23 @@ use crate::system::{CleaningSystem, Detection, RepairCandidate, RepairSuggestion
 use datavinci_profile::{profile_column_pooled, rescore_profile_pooled, ColumnProfile, MaskedPool};
 use datavinci_regex::MaskedString;
 use datavinci_semantic::{AbstractedColumn, GazetteerLlm, GazetteerLlmConfig, SemanticAbstractor};
-use datavinci_table::{Table, ValuePool};
+use datavinci_table::Table;
 use datavinci_telemetry::{self as telemetry, stages};
 
 /// Everything DataVinci derives about one column before repairing.
 ///
 /// `Clone` so batch engines can cache a finished analysis and replay it
-/// against unchanged column content. The rendered values and interning
-/// pool are shared (`Arc`) with the session that produced them, so cloning
-/// an analysis never re-renders or re-interns the column.
+/// against unchanged column content. The rendered values are shared
+/// (`Arc`) with the session that produced them, so cloning an analysis
+/// never re-renders the column.
 #[derive(Debug, Clone)]
 pub struct ColumnAnalysis {
     /// The analyzed column index.
     pub col: usize,
     /// Rendered cell values, one per row (rendered once per session).
     pub values: Arc<Vec<String>>,
-    /// Distinct-value interning of `values` (computed once per session).
-    /// Detection shares its semantic-only verdicts across duplicate values
-    /// through it, and the append path extends it instead of re-interning.
-    pub pool: Arc<ValuePool>,
-    /// The semantic abstraction (mask occurrences, defaults).
+    /// The semantic abstraction (mask occurrences, defaults), interned by
+    /// distinct response line.
     pub abstraction: AbstractedColumn,
     /// The masked values, interned: the pool the profiler learned from,
     /// shared with repair. Read rows through [`ColumnAnalysis::masked`].
@@ -202,8 +199,8 @@ impl DataVinci {
     }
 
     /// Detects the dominant semantic type of column `col` against this
-    /// system's gazetteer, through the session's memos: the column's value
-    /// pool is reused and the gazetteer sweep runs at most once per
+    /// system's gazetteer, through the session's memos: the column's rendered
+    /// values are reused and the gazetteer sweep runs at most once per
     /// `(column, threshold)` for the session's lifetime (the CLI's
     /// `--types` report is the primary consumer).
     pub fn column_type_in(
@@ -225,17 +222,9 @@ impl DataVinci {
     /// Runs abstraction, profiling and detection on one column, reading all
     /// table-scoped state from the shared session.
     pub fn analyze_column_in(&self, session: &AnalysisSession<'_>, col: usize) -> ColumnAnalysis {
-        let column = session.table().column(col).expect("column index in range");
-        let values = session.column_values(col);
-        let pool = session.value_pool(col);
-        let abstraction = self.abstract_values(column.name(), &values);
-        let (masked, profile) = {
-            let _span = telemetry::span(stages::PROFILE);
-            let masked = masked_pool_of(&abstraction);
-            let profile = profile_column_pooled(&masked, &self.cfg.profiler);
-            (masked, profile)
-        };
-        self.detect_with_profile(col, values, pool, abstraction, masked, profile)
+        self.analyze_with(session, col, |masked| {
+            profile_column_pooled(masked, &self.cfg.profiler)
+        })
     }
 
     /// Runs abstraction and detection on one column against a shared
@@ -246,42 +235,36 @@ impl DataVinci {
     /// the current column content, so this is sound whenever the prior
     /// still describes the column language — in particular for unchanged or
     /// append-only column content, which batch engines recognize via
-    /// [`datavinci_table::Column::fingerprint`]. When the prior's rows are
-    /// a prefix of the current column (the append-only case), the prior's
-    /// interning pool is *extended* with the appended rows instead of
-    /// re-interning the whole column (and the extended pool is installed
-    /// into the session for later consumers); otherwise interning restarts
-    /// from scratch (the caller's append detection was stale).
+    /// [`datavinci_table::Column::fingerprint`].
     pub fn analyze_column_appended_in(
         &self,
         session: &AnalysisSession<'_>,
         col: usize,
         prior: &ColumnAnalysis,
     ) -> ColumnAnalysis {
+        self.analyze_with(session, col, |masked| {
+            rescore_profile_pooled(&prior.profile, masked)
+        })
+    }
+
+    /// ⓪–② for one column, with `learn` producing the profile from the
+    /// masked pool.
+    fn analyze_with(
+        &self,
+        session: &AnalysisSession<'_>,
+        col: usize,
+        learn: impl FnOnce(&MaskedPool) -> ColumnProfile,
+    ) -> ColumnAnalysis {
         let column = session.table().column(col).expect("column index in range");
         let values = session.column_values(col);
-        // A resumed session ([`AnalysisSession::resume`]) already carries
-        // the pool extended over the appended rows — re-extending `prior`'s
-        // would redo the merge it just did.
-        let pool = if let Some(cached) = session.cached_pool(col) {
-            cached
-        } else if values.len() >= prior.values.len()
-            && values[..prior.values.len()] == prior.values[..]
-        {
-            let extended = Arc::new(prior.pool.extended(&values[prior.values.len()..]));
-            session.install_pool(col, Arc::clone(&extended));
-            extended
-        } else {
-            session.value_pool(col)
-        };
         let abstraction = self.abstract_values(column.name(), &values);
         let (masked, profile) = {
             let _span = telemetry::span(stages::PROFILE);
             let masked = masked_pool_of(&abstraction);
-            let profile = rescore_profile_pooled(&prior.profile, &masked);
+            let profile = learn(&masked);
             (masked, profile)
         };
-        self.detect_with_profile(col, values, pool, abstraction, masked, profile)
+        self.detect_with_profile(col, values, abstraction, masked, profile)
     }
 
     /// ⓪ Abstraction: the semantic abstraction of the rendered values.
@@ -300,7 +283,6 @@ impl DataVinci {
         &self,
         col: usize,
         values: Arc<Vec<String>>,
-        pool: Arc<ValuePool>,
         abstraction: AbstractedColumn,
         masked_pool: Arc<MaskedPool>,
         profile: ColumnProfile,
@@ -330,32 +312,21 @@ impl DataVinci {
             // The syntactic prefix is sorted; rows appended below must not
             // be searched (they would break the sort mid-loop).
             let syntactic = error_rows.len();
-            // The normalization verdict is a pure function of (value,
-            // abstracted value), so it is computed once per distinct pair
-            // and shared across duplicate rows; rows whose abstraction
-            // differs despite an equal value (prompt batches can disagree)
-            // get their own verdict.
-            let mut verdicts: Vec<Vec<(u32, bool)>> = vec![Vec::new(); pool.n_distinct()];
+            // A row's concretized abstraction depends on the row only
+            // through its distinct response line, so it is computed once per
+            // line. The verdict compares it with the row's own value: values
+            // sharing a line (`Birminxham` and `Birmingham` both masked to
+            // the city `Birmingham`) can still differ in verdict.
+            let mut concretized: Vec<Option<String>> = vec![None; abstraction.distinct.len()];
             for row in 0..values.len() {
                 if error_rows[..syntactic].binary_search(&row).is_ok() {
                     continue;
                 }
-                let di = pool.distinct_index(row);
-                let ai = abstraction.row_to_distinct[row];
-                let cached = verdicts[di]
-                    .iter()
-                    .find(|&&(a, _)| a == ai)
-                    .map(|&(_, v)| v);
-                let normalized = match cached {
-                    Some(v) => v,
-                    None => {
-                        let masked = &abstraction.value(row).masked;
-                        let v = abstraction.concretize(row, masked) != values[row];
-                        verdicts[di].push((ai, v));
-                        v
-                    }
-                };
-                if normalized {
+                let line = abstraction.row_to_distinct[row] as usize;
+                let plain = concretized[line].get_or_insert_with(|| {
+                    abstraction.concretize(row, &abstraction.value(row).masked)
+                });
+                if *plain != values[row] {
                     semantic_only_rows.push(row);
                     error_rows.push(row);
                 }
@@ -366,7 +337,6 @@ impl DataVinci {
         ColumnAnalysis {
             col,
             values,
-            pool,
             abstraction,
             masked_pool,
             profile,
@@ -706,6 +676,91 @@ mod tests {
         assert_eq!(report.detections.len(), 1, "{report:#?}");
         assert_eq!(report.repairs[0].original, "Birminxham");
         assert_eq!(report.repairs[0].repaired, "Birmingham");
+    }
+
+    /// The unmemoized detection rule, row by row: an error is a row no
+    /// significant pattern covers or, under full semantics, a row whose own
+    /// abstraction concretizes to a different string.
+    fn per_row_rule(dv: &DataVinci, a: &ColumnAnalysis) -> (Vec<usize>, Vec<usize>) {
+        let (mut errors, mut semantic_only) = (Vec::new(), Vec::new());
+        if a.significant.is_empty() {
+            return (errors, semantic_only);
+        }
+        for row in 0..a.values.len() {
+            let patterns = &a.profile.patterns;
+            if !a
+                .significant
+                .iter()
+                .any(|&i| patterns[i].rows.contains(&row))
+            {
+                errors.push(row);
+            } else if dv.config().semantics == SemanticMode::Full
+                && a.abstraction
+                    .concretize(row, &a.abstraction.value(row).masked)
+                    != a.values[row]
+            {
+                semantic_only.push(row);
+                errors.push(row);
+            }
+        }
+        (errors, semantic_only)
+    }
+
+    #[test]
+    fn detection_equals_per_row_rule() {
+        let cities = ["Boston", "Miami", "Chicago", "Seattle", "Boston", "Miami"];
+        let column = |typo_first: bool, blanks: bool, n: usize| -> Vec<String> {
+            let pair = if typo_first {
+                ["Birminxham", "Birmingham"]
+            } else {
+                ["Birmingham", "Birminxham"]
+            };
+            (0..n)
+                .map(|i| match i % 9 {
+                    3 => pair[(i / 9) % 2],
+                    7 if blanks => "",
+                    k => cities[k % cities.len()],
+                })
+                .map(String::from)
+                .collect()
+        };
+        let dv = DataVinci::new();
+        let ablation = DataVinci::with_config(DataVinciConfig::ablation_no_semantics());
+        for n in [20, 60, 1200] {
+            for typo_first in [true, false] {
+                for blanks in [false, true] {
+                    let values = column(typo_first, blanks, n);
+                    let table = Table::new(vec![Column::from_texts("City", &values)]);
+                    for system in [&dv, &ablation] {
+                        let a = system.analyze_column(&table, 0);
+                        let (errors, semantic_only) = per_row_rule(system, &a);
+                        let case = format!("n={n} typo_first={typo_first} blanks={blanks}");
+                        assert_eq!(a.error_rows, errors, "{case}");
+                        assert_eq!(a.semantic_only_rows, semantic_only, "{case}");
+                    }
+                    // Under full semantics the typo is flagged and its
+                    // correct spelling is not, though both share one
+                    // abstraction line: the verdict is per value.
+                    let a = dv.analyze_column(&table, 0);
+                    let typo = values.iter().position(|v| v == "Birminxham").unwrap();
+                    let good = values.iter().position(|v| v == "Birmingham").unwrap();
+                    assert_eq!(
+                        a.abstraction.row_to_distinct[typo],
+                        a.abstraction.row_to_distinct[good]
+                    );
+                    assert!(a.semantic_only_rows.contains(&typo));
+                    assert!(!a.error_rows.contains(&good));
+                }
+            }
+        }
+        // 1200 rows span two prompt batches.
+        let values = column(true, true, 1200);
+        let prompts = datavinci_semantic::prompt::build_prompts(
+            "City",
+            &values,
+            dv.abstractor_ref().mask_types(),
+        );
+        assert!(prompts.len() >= 2, "{} prompts", prompts.len());
     }
 
     #[test]

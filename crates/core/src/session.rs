@@ -1,10 +1,10 @@
 //! The table-scoped analysis session: one shared context for features,
-//! masks, and pools across every column of a table.
+//! masks, and rendered values across every column of a table.
 //!
 //! DataVinci's hole concretization conditions on *row features drawn from
 //! the whole table* (paper §3.4), yet each column repair used to regenerate
 //! the [`FeatureSet`] from scratch and keep the other shared state
-//! (interning pools, mask memos, type detections) in disconnected per-call
+//! (rendered values, mask memos, type detections) in disconnected per-call
 //! caches. An [`AnalysisSession`] is created once per table clean and owns
 //! everything that is a pure function of the table:
 //!
@@ -17,8 +17,9 @@
 //!   evaluated once per distinct value of its column, and every distinct
 //!   row's feature bits as `u64` words — what every column's concretizer
 //!   gathers its decision-tree examples from and predicts on;
-//! * the per-column rendered **values** and [`ValuePool`]s the detection,
-//!   append and semantic layers key their sharing on;
+//! * the per-column rendered **values**, which every column analysis and
+//!   the column-type sweep read (a column's distinct values are interned
+//!   by its semantic abstraction, not here);
 //! * a handle to the semantic [`MaskCache`] (per-value gazetteer sweeps,
 //!   shared with the abstraction model) and a [`ColumnTypeMemo`] for
 //!   semantic column-type detections.
@@ -34,7 +35,7 @@
 //! detaches the owned state from the table borrow and
 //! [`AnalysisSession::resume`] re-attaches it to the grown table, extending
 //! the rendered table, the row interner, the feature store, and every
-//! memoized value vector and [`ValuePool`] in place. This is what the
+//! memoized value vector in place. This is what the
 //! streaming engine rides: each chunk resumes the previous chunk's session
 //! rather than re-rendering and re-interning the whole prefix.
 
@@ -44,7 +45,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::features::{FeatureSet, FeatureStore, RenderedTable};
 use datavinci_semantic::{ColumnTypeMemo, Gazetteer, MaskCache, TypeDetection};
-use datavinci_table::{CellValue, Table, ValuePool};
+use datavinci_table::{CellValue, Table};
 
 /// A snapshot of one session's reuse counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -54,10 +55,6 @@ pub struct SessionStats {
     /// Distinct table rows materialized in the feature store (counted
     /// when the store is built and as it is extended over appended rows).
     pub feature_rows_computed: u64,
-    /// Per-column value pools interned.
-    pub pools_built: u64,
-    /// Pool lookups served from the memo.
-    pub pools_reused: u64,
     /// Table rows covered by the row interner (0 until first needed).
     pub table_rows: u64,
     /// Distinct table rows (0 until first needed).
@@ -88,8 +85,6 @@ impl SessionStats {
     pub fn accumulate(&mut self, other: &SessionStats) {
         self.feature_generations += other.feature_generations;
         self.feature_rows_computed += other.feature_rows_computed;
-        self.pools_built += other.pools_built;
-        self.pools_reused += other.pools_reused;
         self.table_rows += other.table_rows;
         self.distinct_rows += other.distinct_rows;
         self.column_types_memoized += other.column_types_memoized;
@@ -106,8 +101,6 @@ impl SessionStats {
 struct Counters {
     feature_generations: AtomicU64,
     feature_rows_computed: AtomicU64,
-    pools_built: AtomicU64,
-    pools_reused: AtomicU64,
     session_extensions: AtomicU64,
     rows_appended: AtomicU64,
 }
@@ -173,8 +166,6 @@ pub struct AnalysisSession<'t> {
     row_pool: OnceLock<RowPool>,
     /// Column index → rendered values.
     values: Mutex<HashMap<usize, Arc<Vec<String>>>>,
-    /// Column index → interned value pool.
-    pools: Mutex<HashMap<usize, Arc<ValuePool>>>,
     /// The semantic per-value mask memo (shared with the abstraction model
     /// when the session is created via [`crate::DataVinci::session`], so
     /// its reuse spans tables and batches).
@@ -203,7 +194,6 @@ impl<'t> AnalysisSession<'t> {
             store: OnceLock::new(),
             row_pool: OnceLock::new(),
             values: Mutex::new(HashMap::new()),
-            pools: Mutex::new(HashMap::new()),
             mask_cache,
             mask_base,
             types: ColumnTypeMemo::default(),
@@ -303,47 +293,6 @@ impl<'t> AnalysisSession<'t> {
         values
     }
 
-    /// Column `col`'s interned value pool, computed once per session.
-    pub fn value_pool(&self, col: usize) -> Arc<ValuePool> {
-        {
-            let map = self.pools.lock().expect("session poisoned");
-            if let Some(hit) = map.get(&col) {
-                self.counters.pools_reused.fetch_add(1, Ordering::Relaxed);
-                return Arc::clone(hit);
-            }
-        }
-        let pool = Arc::new(ValuePool::from_values(&self.column_values(col)));
-        self.install_pool(col, Arc::clone(&pool));
-        pool
-    }
-
-    /// The pool for `col` if one is already memoized — without building.
-    /// The append path consults this before extending a prior pool: a
-    /// resumed session already carries the extended pool, so re-extending
-    /// would duplicate the merge work.
-    pub fn cached_pool(&self, col: usize) -> Option<Arc<ValuePool>> {
-        let hit = self
-            .pools
-            .lock()
-            .expect("session poisoned")
-            .get(&col)
-            .map(Arc::clone);
-        if hit.is_some() {
-            self.counters.pools_reused.fetch_add(1, Ordering::Relaxed);
-        }
-        hit
-    }
-
-    /// Installs an externally built pool for `col` (the append path extends
-    /// a prior pool instead of re-interning and registers the result here).
-    pub fn install_pool(&self, col: usize, pool: Arc<ValuePool>) {
-        self.counters.pools_built.fetch_add(1, Ordering::Relaxed);
-        self.pools
-            .lock()
-            .expect("session poisoned")
-            .insert(col, pool);
-    }
-
     /// The shared semantic mask cache handle.
     pub fn mask_cache(&self) -> &Arc<MaskCache> {
         &self.mask_cache
@@ -358,9 +307,8 @@ impl<'t> AnalysisSession<'t> {
         gaz: &Gazetteer,
         min_confidence: f64,
     ) -> Option<TypeDetection> {
-        let pool = self.value_pool(col);
         self.types
-            .detect(col, &pool.distinct(), pool.counts(), gaz, min_confidence)
+            .detect(col, &self.column_values(col), gaz, min_confidence)
     }
 
     /// A snapshot of the session's reuse counters.
@@ -369,8 +317,6 @@ impl<'t> AnalysisSession<'t> {
         SessionStats {
             feature_generations: self.counters.feature_generations.load(Ordering::Relaxed),
             feature_rows_computed: self.counters.feature_rows_computed.load(Ordering::Relaxed),
-            pools_built: self.counters.pools_built.load(Ordering::Relaxed),
-            pools_reused: self.counters.pools_reused.load(Ordering::Relaxed),
             table_rows: self
                 .row_pool
                 .get()
@@ -391,7 +337,7 @@ impl<'t> AnalysisSession<'t> {
     /// fingerprints) so a later [`AnalysisSession::resume`] can verify the
     /// new table really is the old one plus appended rows before adopting
     /// the state. Everything learned — rendered matrix, feature set, row
-    /// interner, feature memo, value vectors, pools, mask-cache handle,
+    /// interner, feature memo, value vectors, mask-cache handle,
     /// counters — carries over; only the column-type memo is dropped
     /// (appended rows can change a type verdict).
     pub fn into_snapshot(self) -> SessionSnapshot {
@@ -409,7 +355,6 @@ impl<'t> AnalysisSession<'t> {
             store: self.store.into_inner(),
             row_pool: self.row_pool.into_inner(),
             values: self.values.into_inner().expect("session poisoned"),
-            pools: self.pools.into_inner().expect("session poisoned"),
             mask_cache: self.mask_cache,
             mask_base: self.mask_base,
             counters: self.counters,
@@ -419,8 +364,8 @@ impl<'t> AnalysisSession<'t> {
     /// Re-attaches a snapshot to `table`, which must be the snapshot's
     /// table plus zero or more appended rows ([`SessionSnapshot::resumable_for`]).
     ///
-    /// The rendered table, row interner, feature store, memoized value
-    /// vectors, and value pools are *extended* over the appended rows —
+    /// The rendered table, row interner, feature store, and memoized value
+    /// vectors are *extended* over the appended rows —
     /// prior rows are never re-rendered or re-interned, and the store
     /// evaluates only the appended values. The feature set (if generated)
     /// is kept as-is: resumed cleaning re-scores the previously learned
@@ -442,7 +387,6 @@ impl<'t> AnalysisSession<'t> {
             mut store,
             mut row_pool,
             mut values,
-            mut pools,
             mask_cache,
             mask_base,
             counters,
@@ -467,21 +411,12 @@ impl<'t> AnalysisSession<'t> {
                     .fetch_add((p.n_distinct() - prior_distinct) as u64, Ordering::Relaxed);
             }
         }
-        let appended_rendered = |col: usize| -> Vec<String> {
-            let column = table.column(col).expect("column count verified");
-            (prior_rows..table.n_rows())
-                .map(|row| column.get(row).map(CellValue::render).unwrap_or_default())
-                .collect()
-        };
         for (&col, vals) in values.iter_mut() {
-            Arc::make_mut(vals).extend(appended_rendered(col));
-        }
-        for (&col, pool) in pools.iter_mut() {
-            let tail = match values.get(&col) {
-                Some(v) => v[prior_rows..].to_vec(),
-                None => appended_rendered(col),
-            };
-            *pool = Arc::new(pool.extended(&tail));
+            let column = table.column(col).expect("column count verified");
+            Arc::make_mut(vals).extend(
+                (prior_rows..table.n_rows())
+                    .map(|row| column.get(row).map(CellValue::render).unwrap_or_default()),
+            );
         }
 
         counters.session_extensions.fetch_add(1, Ordering::Relaxed);
@@ -502,7 +437,6 @@ impl<'t> AnalysisSession<'t> {
             store: into_lock(store),
             row_pool: into_lock(row_pool),
             values: Mutex::new(values),
-            pools: Mutex::new(pools),
             mask_cache,
             mask_base,
             types: ColumnTypeMemo::default(),
@@ -530,7 +464,6 @@ pub struct SessionSnapshot {
     store: Option<FeatureStore>,
     row_pool: Option<RowPool>,
     values: HashMap<usize, Arc<Vec<String>>>,
-    pools: HashMap<usize, Arc<ValuePool>>,
     mask_cache: Arc<MaskCache>,
     mask_base: datavinci_semantic::MaskCacheStats,
     counters: Counters,
@@ -541,7 +474,7 @@ impl SessionSnapshot {
     /// column fingerprints, and the learned feature set).
     ///
     /// The derived state a live session also carries — rendered table, row
-    /// interner, feature store, value vectors, pools — is intentionally
+    /// interner, feature store, value vectors — is intentionally
     /// absent: it is a pure function of the table and is rebuilt lazily on
     /// first use after [`AnalysisSession::resume`], exactly like a session
     /// that never touched it. This is what the engine's durable artifact store writes
@@ -564,7 +497,6 @@ impl SessionSnapshot {
             store: None,
             row_pool: None,
             values: HashMap::new(),
-            pools: HashMap::new(),
             mask_cache,
             mask_base,
             counters: Counters::default(),
@@ -710,16 +642,13 @@ mod tests {
     }
 
     #[test]
-    fn pools_and_values_memoize_per_column() {
+    fn values_memoize_per_column() {
         let t = table();
         let s = AnalysisSession::new(&t);
-        let p1 = s.value_pool(1);
-        let p2 = s.value_pool(1);
-        assert!(Arc::ptr_eq(&p1, &p2));
-        assert_eq!(p1.n_distinct(), 2);
-        let stats = s.stats();
-        assert_eq!(stats.pools_built, 1);
-        assert_eq!(stats.pools_reused, 1);
+        let v1 = s.column_values(1);
+        let v2 = s.column_values(1);
+        assert!(Arc::ptr_eq(&v1, &v2));
+        assert_eq!(*v1, vec!["1-a", "2-b", "1-a", "1-a"]);
         assert_eq!(*s.column_values(0), vec!["x", "y", "x", "x"]);
     }
 
@@ -735,6 +664,27 @@ mod tests {
         let again = s.column_type(0, &gaz, 0.5).expect("memo hit");
         assert_eq!(first, again);
         assert_eq!(s.stats().column_types_memoized, 1);
+
+        // On a duplicate-heavy column the verdict is the unmemoized
+        // detection's, whatever the row order: support is a weighted sum
+        // over distinct values.
+        let base = [
+            "Boston", "x-1", "Boston", "Miami", "x-1", "Boston", "Chicago", "x-1", "", "Miami",
+            "Boston", "q9",
+        ];
+        let n = base.len();
+        for (mul, add) in [(1, 0), (5, 3), (7, 11), (11, 2)] {
+            let values: Vec<String> = (0..n).map(|i| base[(i * mul + add) % n].into()).collect();
+            let t = Table::new(vec![Column::from_texts("c", &values)]);
+            let s = AnalysisSession::new(&t);
+            let got = s.column_type(0, &gaz, 0.5);
+            assert_eq!(
+                got,
+                datavinci_semantic::detect_column_type(&values, &gaz, 0.5)
+            );
+            let got = got.expect("mostly cities");
+            assert_eq!(got.confidence, 7.0 / 11.0, "blanks are not counted");
+        }
     }
 
     fn grown_table() -> Table {
@@ -757,7 +707,6 @@ mod tests {
 
         let s = AnalysisSession::new(&small);
         let _ = s.features();
-        let _ = s.value_pool(1);
         let _ = s.column_values(0);
         let prior_features = s.features_arc().expect("generated");
 
@@ -769,9 +718,9 @@ mod tests {
             &s.features_arc().expect("carried"),
             &prior_features
         ));
-        // Extended pools/values/interner agree with a from-scratch session.
-        assert_eq!(*s.value_pool(1), *fresh.value_pool(1));
+        // Extended values/interner agree with a from-scratch session.
         assert_eq!(*s.column_values(0), *fresh.column_values(0));
+        assert_eq!(*s.column_values(1), *fresh.column_values(1));
         assert_eq!(s.n_distinct_rows(), fresh.n_distinct_rows());
         for row in 0..grown.n_rows() {
             assert_eq!(s.distinct_row(row), fresh.distinct_row(row), "row {row}");

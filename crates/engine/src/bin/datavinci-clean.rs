@@ -573,7 +573,7 @@ fn run(args: &Args) -> Result<(), String> {
     });
 
     // --types: one detection per cleaned column through the session's
-    // column-type memo (the pool is shared, the gazetteer sweep runs once
+    // column-type memo (the values are shared, the gazetteer sweep runs once
     // per column even though the JSON and console both read the verdict).
     let types: Vec<Option<TypeDetection>> = if args.types {
         let dv = engine.system();

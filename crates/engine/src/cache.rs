@@ -22,7 +22,7 @@
 //!
 //! The **snapshot layer** goes one further for append-only growth: after a
 //! clean, the whole detached [`SessionSnapshot`] (rendered matrix, row
-//! interner, pools, features) is kept — the *latest* per header shape — so
+//! interner, value vectors, features) is kept — the *latest* per header shape — so
 //! the next clean of the same table *plus appended rows* resumes the prior
 //! session instead of re-rendering and re-interning the shared prefix
 //! ([`ProfileCache::take_resumable_snapshot`]). This is the engine-side
@@ -77,7 +77,7 @@ pub struct CacheStats {
     /// seeded with the cached table `FeatureSet` instead of regenerating.
     pub session_hits: u64,
     /// Snapshot-layer reuse: a clean of a grown table resumed the prior
-    /// session's state (rendered matrix, row interner, pools) instead of
+    /// session's state (rendered matrix, row interner, value vectors) instead of
     /// rebuilding it.
     pub session_resumes: u64,
     /// Report-tier entries evicted by the capacity bound.

@@ -186,8 +186,8 @@ impl Engine {
     /// A session for `table`. Reuse is layered: if the cache holds a
     /// detached session for the same header shape whose table is a prefix
     /// of this one (streaming/append growth), it is *resumed* — rendered
-    /// matrix, row interner, and pools carry over and only the appended
-    /// rows are processed. Otherwise a fresh session is opened, seeded with
+    /// matrix, row interner, and value vectors carry over and only the
+    /// appended rows are processed. Otherwise a fresh session is opened, seeded with
     /// the cached `FeatureSet` when identical table content was cleaned
     /// before.
     fn open_session<'t>(&self, table: &'t Table, fingerprint: u64) -> AnalysisSession<'t> {
@@ -241,8 +241,8 @@ impl Engine {
     /// Work is scheduled at `(table, column)` granularity so a batch of
     /// small tables and one huge table still load-balances. Each table's
     /// columns share one [`AnalysisSession`] (features, the feature store,
-    /// and pools are built at most once per table), and tables with identical
-    /// fingerprints share one session outright.
+    /// and rendered values are built at most once per table), and tables
+    /// with identical fingerprints share one session outright.
     pub fn clean_batch(&self, tables: &[Table]) -> BatchReport {
         let (mut batch, profile) =
             telemetry::collect(self.registry.enabled(), || self.clean_batch_inner(tables));
@@ -411,10 +411,8 @@ impl Engine {
                         CacheOutcome::AnalysisHit,
                     ),
                     CacheLookup::Append(entry) => {
-                        // Reuses both the prior's learned patterns (re-scored)
-                        // and its interning pool (extended with the appended
-                        // rows and installed into the session), so a warm
-                        // re-score skips re-interning.
+                        // Reuses the prior's learned patterns, re-scored
+                        // against the grown column instead of re-learned.
                         let analysis =
                             self.dv
                                 .analyze_column_appended_in(session, col, &entry.analysis);

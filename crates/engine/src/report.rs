@@ -133,8 +133,6 @@ pub fn session_stats_json(stats: &SessionStats) -> Json {
             "feature_rows_computed",
             Json::Int(stats.feature_rows_computed as i64),
         )
-        .field("pools_built", Json::Int(stats.pools_built as i64))
-        .field("pools_reused", Json::Int(stats.pools_reused as i64))
         .field("table_rows", Json::Int(stats.table_rows as i64))
         .field("distinct_rows", Json::Int(stats.distinct_rows as i64))
         .field(
@@ -168,8 +166,6 @@ pub fn session_stats_json(stats: &SessionStats) -> Json {
 pub fn session_stats_into(frame: &mut MetricsFrame, stats: &SessionStats) {
     frame.add_counter("session.feature_generations", stats.feature_generations);
     frame.add_counter("session.feature_rows_computed", stats.feature_rows_computed);
-    frame.add_counter("session.pools_built", stats.pools_built);
-    frame.add_counter("session.pools_reused", stats.pools_reused);
     frame.add_counter("session.table_rows", stats.table_rows);
     frame.add_counter("session.distinct_rows", stats.distinct_rows);
     frame.add_counter("session.column_types_memoized", stats.column_types_memoized);

@@ -9,7 +9,7 @@
 //!
 //! * each chunk's clean **resumes the previous chunk's session** via the
 //!   cache's snapshot layer — the rendered matrix, row interner, and value
-//!   pools are extended over the new rows, never rebuilt
+//!   vectors are extended over the new rows, never rebuilt
 //!   ([`datavinci_core::AnalysisSession::resume`]);
 //! * each column's learned profile rides the **append cache arm** — prior
 //!   patterns are re-scored against the appended rows, with the engine's

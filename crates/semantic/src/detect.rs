@@ -34,13 +34,12 @@ pub struct ColumnTypeMemo {
 }
 
 impl ColumnTypeMemo {
-    /// [`detect_column_type_pooled`] through the memo: the sweep runs only
-    /// on the first call for a given `(col, min_confidence)` pair.
+    /// [`detect_column_type`] through the memo: the sweep runs only on the
+    /// first call for a given `(col, min_confidence)` pair.
     pub fn detect<S: AsRef<str>>(
         &self,
         col: usize,
-        distinct: &[S],
-        multiplicity: &[usize],
+        values: &[S],
         gaz: &Gazetteer,
         min_confidence: f64,
     ) -> Option<TypeDetection> {
@@ -48,7 +47,7 @@ impl ColumnTypeMemo {
         if let Some(hit) = self.verdicts.lock().expect("type memo poisoned").get(&key) {
             return *hit;
         }
-        let verdict = detect_column_type_pooled(distinct, multiplicity, gaz, min_confidence);
+        let verdict = detect_column_type(values, gaz, min_confidence);
         self.verdicts
             .lock()
             .expect("type memo poisoned")
@@ -70,26 +69,26 @@ impl ColumnTypeMemo {
 /// Detects the dominant semantic type of a column, if any type reaches
 /// `min_confidence` support.
 ///
-/// Interns the column first and scores each *distinct* value once via
-/// [`detect_column_type_pooled`] — the per-value gazetteer sweep is the
-/// expensive part, and real columns are dominated by duplicates.
-pub fn detect_column_type(
-    values: &[String],
+/// Interns the column first and scores each *distinct* value once — the
+/// per-value gazetteer sweep is the expensive part, and real columns are
+/// dominated by duplicates.
+pub fn detect_column_type<S: AsRef<str>>(
+    values: &[S],
     gaz: &Gazetteer,
     min_confidence: f64,
 ) -> Option<TypeDetection> {
     let pool = crate::intern::intern_values(values);
-    detect_column_type_pooled(&pool.distinct, &pool.counts, gaz, min_confidence)
+    detect_pooled(&pool.distinct, &pool.counts, gaz, min_confidence)
 }
 
-/// [`detect_column_type`] over pre-interned distinct values.
+/// [`detect_column_type`] over interned distinct values.
 ///
 /// `distinct[i]` occurs `multiplicity[i]` times in the column; each distinct
 /// value is gazetteer-swept once and its hits weighted by multiplicity, so
-/// the detection equals the per-row computation exactly. Callers holding a
-/// `datavinci_table::ValuePool` pass its `distinct()`/`counts()` slices.
-pub fn detect_column_type_pooled<S: AsRef<str>>(
-    distinct: &[S],
+/// the detection equals the per-row computation exactly. Support is a sum,
+/// so the order of the distinct values does not matter.
+fn detect_pooled(
+    distinct: &[&str],
     multiplicity: &[usize],
     gaz: &Gazetteer,
     min_confidence: f64,
@@ -97,8 +96,7 @@ pub fn detect_column_type_pooled<S: AsRef<str>>(
     assert_eq!(distinct.len(), multiplicity.len(), "one weight per value");
     let mut counts = [0usize; SemanticType::ALL.len()];
     let mut n = 0usize;
-    for (v, &w) in distinct.iter().zip(multiplicity) {
-        let v = v.as_ref();
+    for (&v, &w) in distinct.iter().zip(multiplicity) {
         if v.trim().is_empty() {
             continue;
         }
@@ -180,10 +178,9 @@ mod tests {
     fn memo_returns_cached_verdicts() {
         let gaz = Gazetteer::new();
         let memo = ColumnTypeMemo::default();
-        let distinct = ["Boston", "Miami"];
-        let counts = [2usize, 1];
+        let values = ["Boston", "Miami", "Boston"];
         assert!(memo.is_empty());
-        let first = memo.detect(0, &distinct, &counts, &gaz, 0.5);
+        let first = memo.detect(0, &values, &gaz, 0.5);
         assert_eq!(
             first.map(|d| d.semantic_type),
             Some(SemanticType::City),
@@ -191,9 +188,9 @@ mod tests {
         );
         // A second call must come from the memo (same verdict, no growth);
         // a different threshold is its own key.
-        assert_eq!(memo.detect(0, &distinct, &counts, &gaz, 0.5), first);
+        assert_eq!(memo.detect(0, &values, &gaz, 0.5), first);
         assert_eq!(memo.len(), 1);
-        memo.detect(0, &distinct, &counts, &gaz, 0.9);
+        memo.detect(0, &values, &gaz, 0.9);
         assert_eq!(memo.len(), 2);
     }
 
@@ -211,7 +208,7 @@ mod tests {
             .collect();
         for min in [0.1, 0.5, 0.9] {
             assert_eq!(
-                detect_column_type_pooled(&distinct, &counts, &gaz, min),
+                detect_pooled(&distinct, &counts, &gaz, min),
                 detect_column_type(&rows, &gaz, min),
                 "min_confidence {min}"
             );

@@ -2,8 +2,10 @@
 //!
 //! The masking model and the column-type detector both compute per
 //! *distinct* value and weight aggregates by multiplicity; this helper is
-//! their shared intern step. (The heavier, sorted `datavinci_table::ValuePool`
-//! is not used here — this crate sits below the table layer.)
+//! their shared intern step. It is the only interning of raw column values:
+//! the model interns each prompt batch, the column-type detector interns the
+//! whole column, and so does the mask-free [`crate::AbstractedColumn::plain`]
+//! (a masked abstraction keeps one entry per distinct response line).
 
 /// Distinct values in first-occurrence order, their multiplicities, and the
 /// input-position → distinct-index map.

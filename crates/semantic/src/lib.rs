@@ -21,7 +21,7 @@ pub mod prompt;
 pub mod spans;
 pub mod types;
 
-pub use detect::{detect_column_type, detect_column_type_pooled, ColumnTypeMemo, TypeDetection};
+pub use detect::{detect_column_type, ColumnTypeMemo, TypeDetection};
 pub use gazetteer::{fuzzy_budget, Gazetteer, Hit};
 pub use llm::{
     GazetteerLlm, GazetteerLlmConfig, LanguageModel, MaskCache, MaskCacheStats,

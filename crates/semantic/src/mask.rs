@@ -161,19 +161,21 @@ fn concretize_with(
     defaults: &HashMap<MaskId, String>,
     repaired: &MaskedString,
 ) -> String {
-    let mut used: HashMap<MaskId, usize> = HashMap::new();
+    let toks = repaired.toks();
     let mut out = String::new();
-    for tok in repaired.toks() {
+    for (i, tok) in toks.iter().enumerate() {
         match tok {
             Tok::Char(c) => out.push(*c),
             Tok::Mask(id) => {
-                let k = used.entry(*id).or_insert(0);
+                // This mask's rank among its id's masks. A cell holds few
+                // masks, so counting the earlier ones is cheap and needs no
+                // allocation.
+                let k = toks[..i].iter().filter(|&t| t == tok).count();
                 let nth = occurrences
                     .iter()
                     .filter(|o| o.mask == *id)
-                    .nth(*k)
+                    .nth(k)
                     .map(|o| o.suggestion.as_str());
-                *k += 1;
                 match nth.or_else(|| defaults.get(id).map(String::as_str)) {
                     Some(text) => out.push_str(text),
                     None => out.push('\u{FFFD}'),
@@ -449,6 +451,45 @@ mod tests {
         let plain = c.concretize(0, &repaired);
         // First mask → row suggestion (US), second → column majority (US).
         assert_eq!(plain, "US-US");
+    }
+
+    #[test]
+    fn concretize_takes_each_ids_occurrences_in_order() {
+        let (a, b) = (MaskId(0), MaskId(1));
+        let occ = |mask, text: &str| MaskOccurrence {
+            mask,
+            semantic_type: SemanticType::City,
+            suggestion: text.into(),
+        };
+        // Interleaved ids: `{A}{B}{A}` with occurrences A1, B1, A2.
+        let occurrences = [occ(a, "a1"), occ(b, "b1"), occ(a, "a2")];
+        let masked = |toks: &[Tok]| MaskedString::from_toks(toks.to_vec());
+        let aba = masked(&[Tok::Mask(a), Tok::Char('-'), Tok::Mask(b), Tok::Mask(a)]);
+        let none = HashMap::new();
+        assert_eq!(concretize_with(&occurrences, &none, &aba), "a1-b1a2");
+        // Masks beyond an id's occurrences take its default, and U+FFFD
+        // without one.
+        let defaults = HashMap::from([(a, "A".to_string())]);
+        let extra = masked(&[
+            Tok::Mask(a),
+            Tok::Mask(b),
+            Tok::Mask(a),
+            Tok::Mask(a),
+            Tok::Mask(b),
+        ]);
+        assert_eq!(
+            concretize_with(&occurrences, &defaults, &extra),
+            "a1b1a2A\u{FFFD}"
+        );
+        assert_eq!(
+            concretize_with(&occurrences, &none, &extra),
+            "a1b1a2\u{FFFD}\u{FFFD}"
+        );
+        // An id without occurrences starts at its default.
+        let c = MaskId(2);
+        let defaults = HashMap::from([(c, "C".to_string())]);
+        let cc = masked(&[Tok::Mask(c), Tok::Char('x'), Tok::Mask(c)]);
+        assert_eq!(concretize_with(&occurrences, &defaults, &cc), "CxC");
     }
 
     #[test]

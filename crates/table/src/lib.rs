@@ -9,11 +9,6 @@
 //! * [`Column`] — a named vector of cells,
 //! * [`Table`] — a collection of equally-long columns with row access,
 //! * [`CellRef`]/[`ColRef`] — stable cell and column addressing,
-//! * [`ValuePool`] — distinct-value interning (values, multiplicities, and
-//!   the row → distinct map) behind the per-distinct-value masking,
-//!   scoring and detection layers,
-//! * [`StrArena`] — bump-style string storage, keeping the hot paths at
-//!   few *allocations* rather than one `String` per distinct value,
 //! * a lossless CSV reader/writer in [`io`], built on a resumable
 //!   [`CsvChunkReader`] so files and streams can be ingested chunk by chunk
 //!   with positioned [`CsvError`] diagnostics.
@@ -24,17 +19,13 @@
 //! values such as `#VALUE!` to signal failing executions.
 
 pub mod addr;
-pub mod arena;
 pub mod column;
 pub mod io;
-pub mod pool;
 pub mod table;
 pub mod value;
 
 pub use addr::{CellRef, ColRef};
-pub use arena::{ArenaRef, StrArena};
 pub use column::{Column, Fingerprinter};
 pub use io::{CsvChunkReader, CsvError, CsvErrorKind};
-pub use pool::ValuePool;
 pub use table::Table;
 pub use value::{CellValue, ErrorValue};
