@@ -20,9 +20,11 @@ use datavinci_core::DataVinci;
 static ALLOC: alloc_meter::MeteredAlloc = alloc_meter::MeteredAlloc;
 
 /// Committed budget: allocations per row for one 120-row column clean.
-/// Measured 49.1/row with one interning per column, its abstraction's
-/// (49.8/row with a second, sorted value pool; ≈268/row after the first
-/// hot-path overhaul); regressions past 2× that are structural.
+/// Measured 48.4/row with one interning per column, its abstraction's,
+/// which owns each distinct masked string once (49.1/row when profiling
+/// re-interned a copy of them; 49.8/row with a second, sorted value pool;
+/// ≈268/row after the first hot-path overhaul); regressions past 2× that
+/// are structural.
 const ALLOCS_PER_ROW_BUDGET: f64 = 100.0;
 
 #[test]

@@ -18,10 +18,11 @@ use datavinci_core::DataVinci;
 #[global_allocator]
 static ALLOC: alloc_meter::MeteredAlloc = alloc_meter::MeteredAlloc;
 
-/// Committed budget: allocations per row of one analysis. Measured 31.7/row
-/// with the abstraction parsed and pooled once per distinct response line
-/// and no second value pool (33.5/row with one; 50.3/row when every row was
-/// parsed, cloned and re-interned).
+/// Committed budget: allocations per row of one analysis. Measured 31.0/row
+/// with the abstraction parsed once per distinct response line and owning
+/// each distinct masked string once (31.7/row when profiling cloned them
+/// into a pool of its own; 33.5/row with a second value pool; 50.3/row when
+/// every row was parsed, cloned and re-interned).
 const ALLOCS_PER_ROW_BUDGET: f64 = 70.0;
 
 #[test]

@@ -229,7 +229,7 @@ impl<'s, 't> Concretizer<'s, 't> {
             .copied()
             .filter(|r| analysis.error_rows.binary_search(r).is_err())
             .collect();
-        self.train_pattern(pattern_idx, lp, &rows, analysis.masked_pool());
+        self.train_pattern(pattern_idx, lp, &rows, analysis.abstraction.masked_pool());
     }
 
     /// Predicts one hole's filler via tree → pooled majority → default.
@@ -599,7 +599,7 @@ mod tests {
                     .copied()
                     .filter(|r| analysis.error_rows.binary_search(r).is_err())
                     .collect();
-                cz.train_pattern(pi, lp, &rows, analysis.masked_pool());
+                cz.train_pattern(pi, lp, &rows, analysis.abstraction.masked_pool());
             }
             cz
         };

@@ -15,12 +15,11 @@
 
 use std::collections::HashMap;
 
-use crate::config::SemanticMode;
-use crate::pipeline::{masked_pool_of, ColumnAnalysis, ColumnReport, DataVinci};
+use crate::pipeline::{ColumnAnalysis, ColumnReport, DataVinci};
 use crate::session::AnalysisSession;
 use datavinci_formula::{ColumnProgram, ExecutionGroups};
 use datavinci_profile::profile_column;
-use datavinci_semantic::AbstractedColumn;
+use datavinci_regex::MaskedString;
 use datavinci_table::{CellRef, CellValue, Table};
 
 /// The result of one execution-guided cleaning run.
@@ -149,16 +148,11 @@ impl DataVinci {
         let column = table.column(col).expect("column in range");
         let values = session.column_values(col);
 
-        let abstraction = match self.config().semantics {
-            SemanticMode::None => AbstractedColumn::plain(&values),
-            _ => self
-                .abstractor_ref()
-                .abstract_column(column.name(), &values),
-        };
-        let masked = masked_pool_of(&abstraction);
+        let abstraction = self.abstract_values(column.name(), &values);
+        let masked = abstraction.masked_pool();
 
         // Learn patterns over success inputs only.
-        let success_masked: Vec<datavinci_regex::MaskedString> = groups
+        let success_masked: Vec<MaskedString> = groups
             .successes
             .iter()
             .map(|&r| masked.value(r).clone())
@@ -186,7 +180,6 @@ impl DataVinci {
             col,
             values,
             abstraction,
-            masked_pool: masked,
             profile,
             significant,
             error_rows,

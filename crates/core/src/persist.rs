@@ -17,8 +17,9 @@
 //!    bytes (hash maps are written in sorted key order), so byte equality
 //!    of encodings is value equality — the store's checksums and the
 //!    durability tests' identity assertions rely on this.
-//! 3. **Derived state is rebuilt, not stored.** Masked pools come back
-//!    via [`MaskedPool::new`], compiled patterns via
+//! 3. **Derived state is rebuilt, not stored.** An abstraction's lines
+//!    and masked pool are re-interned from its per-row values by
+//!    [`AbstractedColumn::from_rows`], compiled patterns via
 //!    [`CompiledPattern::compile`], feature-set constant caches via
 //!    [`FeatureSet::from_predicates`] — all deterministic functions of the
 //!    stored data, so a round trip reproduces behaviorally identical
@@ -35,7 +36,7 @@ use crate::features::{FeatureSet, Predicate};
 use crate::pipeline::{ColumnAnalysis, ColumnReport};
 use crate::session::SessionSnapshot;
 use crate::system::{Detection, RepairCandidate, RepairSuggestion};
-use datavinci_profile::{ColumnProfile, LearnedPattern, MaskedPool};
+use datavinci_profile::{ColumnProfile, LearnedPattern};
 use datavinci_regex::{
     CharClass, CompiledPattern, MaskAlphabet, MaskId, MaskedString, Pattern, Tok,
 };
@@ -407,10 +408,10 @@ fn decode_semantic_type(r: &mut Reader<'_>) -> Result<SemanticType, PersistError
     })
 }
 
-fn encode_masked_value(out: &mut Vec<u8>, mv: &MaskedValue) {
-    encode_masked_string(out, &mv.masked);
-    put_len(out, mv.occurrences.len());
-    for occ in &mv.occurrences {
+fn encode_masked_value(out: &mut Vec<u8>, masked: &MaskedString, occurrences: &[MaskOccurrence]) {
+    encode_masked_string(out, masked);
+    put_len(out, occurrences.len());
+    for occ in occurrences {
         out.extend_from_slice(&occ.mask.0.to_le_bytes());
         encode_semantic_type(out, occ.semantic_type);
         put_str(out, &occ.suggestion);
@@ -440,8 +441,8 @@ fn decode_masked_value(r: &mut Reader<'_>) -> Result<MaskedValue, PersistError> 
 fn encode_abstraction(out: &mut Vec<u8>, a: &AbstractedColumn) {
     // One value per row, as the format has always stored it.
     put_len(out, a.n_rows());
-    for mv in a.values() {
-        encode_masked_value(out, mv);
+    for row in 0..a.n_rows() {
+        encode_masked_value(out, a.masked_pool().value(row), a.occurrences(row));
     }
     encode_alphabet(out, &a.alphabet);
     // Deterministic bytes: hash-map entries in sorted key order.
@@ -605,7 +606,9 @@ pub fn encode_column_analysis(analysis: &ColumnAnalysis, out: &mut Vec<u8>) {
     put_usize(out, analysis.col);
     encode_str_vec(out, &analysis.values);
     encode_abstraction(out, &analysis.abstraction);
-    let masked = analysis.masked_pool();
+    // The format repeats every row's masked string after the abstraction;
+    // decoding checks the copy against it.
+    let masked = analysis.abstraction.masked_pool();
     put_len(out, masked.n_rows());
     for row in 0..masked.n_rows() {
         encode_masked_string(out, masked.value(row));
@@ -617,15 +620,28 @@ pub fn encode_column_analysis(analysis: &ColumnAnalysis, out: &mut Vec<u8>) {
 }
 
 /// Decodes a [`ColumnAnalysis`] from `r`, rebuilding the derived state
-/// (masked pool, compiled patterns).
+/// (the abstraction's interning, compiled patterns). The per-row masked
+/// strings stored after the abstraction must equal its own.
 pub fn decode_column_analysis(r: &mut Reader<'_>) -> Result<ColumnAnalysis, PersistError> {
     let col = r.usize()?;
     let values = decode_str_vec(r)?;
     let abstraction = decode_abstraction(r)?;
-    let n = r.count(4)?;
-    let mut masked = Vec::with_capacity(n);
-    for _ in 0..n {
-        masked.push(decode_masked_string(r)?);
+    let masked = abstraction.masked_pool();
+    let at = r.pos;
+    if r.count(4)? != masked.n_rows() {
+        return Err(PersistError::Malformed {
+            at,
+            what: "masked row count differs from the abstraction's",
+        });
+    }
+    for row in 0..masked.n_rows() {
+        let at = r.pos;
+        if decode_masked_string(r)? != *masked.value(row) {
+            return Err(PersistError::Malformed {
+                at,
+                what: "masked value differs from the abstraction's",
+            });
+        }
     }
     let profile = decode_profile(r)?;
     let significant = decode_usize_vec(r)?;
@@ -635,7 +651,6 @@ pub fn decode_column_analysis(r: &mut Reader<'_>) -> Result<ColumnAnalysis, Pers
         col,
         values: Arc::new(values),
         abstraction,
-        masked_pool: Arc::new(MaskedPool::new(&masked)),
         profile,
         significant,
         error_rows,
@@ -846,6 +861,49 @@ mod tests {
         let a = dv.repair_analysis_in(&session, &analysis);
         let b = dv.repair_analysis_in(&session, &back);
         assert_eq!(format!("{a:#?}"), format!("{b:#?}"));
+    }
+
+    #[test]
+    fn masked_copy_disagreeing_with_the_abstraction_is_rejected() {
+        let (dv, table) = analysis_fixture();
+        let analysis = dv.analyze_column(&table, 0);
+        let a = &analysis.abstraction;
+        // A record laid out like `encode_column_analysis`, with `masked`
+        // in place of the per-row masked copy.
+        let record = |masked: &[MaskedString]| {
+            let mut out = Vec::new();
+            put_usize(&mut out, analysis.col);
+            encode_str_vec(&mut out, &analysis.values);
+            encode_abstraction(&mut out, a);
+            put_len(&mut out, masked.len());
+            for m in masked {
+                encode_masked_string(&mut out, m);
+            }
+            encode_profile(&mut out, &analysis.profile);
+            encode_usize_vec(&mut out, &analysis.significant);
+            encode_usize_vec(&mut out, &analysis.error_rows);
+            encode_usize_vec(&mut out, &analysis.semantic_only_rows);
+            out
+        };
+        let rows: Vec<MaskedString> = (0..a.n_rows())
+            .map(|r| analysis.masked(r).clone())
+            .collect();
+        let mut encoded = Vec::new();
+        encode_column_analysis(&analysis, &mut encoded);
+        assert_eq!(record(&rows), encoded);
+        assert!(decode_column_analysis(&mut Reader::new(&record(&rows))).is_ok());
+
+        let mut swapped = rows.clone();
+        swapped.swap(0, 1);
+        assert_ne!(swapped, rows);
+        let mut changed = rows.clone();
+        changed[3] = MaskedString::from_plain("US-201-QUA");
+        assert_ne!(changed, rows);
+        for bad in [swapped, changed, rows[1..].to_vec()] {
+            let err = decode_column_analysis(&mut Reader::new(&record(&bad)))
+                .expect_err("a mismatched masked copy must not decode");
+            assert!(matches!(err, PersistError::Malformed { .. }), "{err:?}");
+        }
     }
 
     #[test]

@@ -37,12 +37,10 @@ pub struct ColumnAnalysis {
     pub col: usize,
     /// Rendered cell values, one per row (rendered once per session).
     pub values: Arc<Vec<String>>,
-    /// The semantic abstraction (mask occurrences, defaults), interned by
-    /// distinct response line.
+    /// The semantic abstraction: mask occurrences and defaults per
+    /// distinct response line, and the masked pool the profiler learned
+    /// from and repair reads.
     pub abstraction: AbstractedColumn,
-    /// The masked values, interned: the pool the profiler learned from,
-    /// shared with repair. Read rows through [`ColumnAnalysis::masked`].
-    pub(crate) masked_pool: Arc<MaskedPool>,
     /// Learned pattern profile.
     pub profile: ColumnProfile,
     /// Indices (into `profile.patterns`) of significant patterns.
@@ -60,12 +58,7 @@ impl ColumnAnalysis {
     /// # Panics
     /// When `row` is out of range.
     pub fn masked(&self, row: usize) -> &MaskedString {
-        self.masked_pool.value(row)
-    }
-
-    /// The interned masked values (one entry per distinct masked string).
-    pub fn masked_pool(&self) -> &MaskedPool {
-        &self.masked_pool
+        self.abstraction.masked_pool().value(row)
     }
 
     /// Rendered significant patterns (paper notation).
@@ -162,7 +155,8 @@ impl DataVinci {
         &self.cfg
     }
 
-    /// The semantic abstractor (shared with the execution-guided path).
+    /// The semantic abstractor.
+    #[cfg(test)]
     pub(crate) fn abstractor_ref(&self) -> &SemanticAbstractor<GazetteerLlm> {
         &self.abstractor
     }
@@ -248,7 +242,7 @@ impl DataVinci {
     }
 
     /// ⓪–② for one column, with `learn` producing the profile from the
-    /// masked pool.
+    /// abstraction's masked pool.
     fn analyze_with(
         &self,
         session: &AnalysisSession<'_>,
@@ -258,17 +252,15 @@ impl DataVinci {
         let column = session.table().column(col).expect("column index in range");
         let values = session.column_values(col);
         let abstraction = self.abstract_values(column.name(), &values);
-        let (masked, profile) = {
+        let profile = {
             let _span = telemetry::span(stages::PROFILE);
-            let masked = masked_pool_of(&abstraction);
-            let profile = learn(&masked);
-            (masked, profile)
+            learn(abstraction.masked_pool())
         };
-        self.detect_with_profile(col, values, abstraction, masked, profile)
+        self.detect_with_profile(col, values, abstraction, profile)
     }
 
     /// ⓪ Abstraction: the semantic abstraction of the rendered values.
-    fn abstract_values(&self, column_name: &str, values: &[String]) -> AbstractedColumn {
+    pub(crate) fn abstract_values(&self, column_name: &str, values: &[String]) -> AbstractedColumn {
         let _span = telemetry::span(stages::MASK);
         match self.cfg.semantics {
             SemanticMode::None => AbstractedColumn::plain(values),
@@ -284,7 +276,6 @@ impl DataVinci {
         col: usize,
         values: Arc<Vec<String>>,
         abstraction: AbstractedColumn,
-        masked_pool: Arc<MaskedPool>,
         profile: ColumnProfile,
     ) -> ColumnAnalysis {
         let _span = telemetry::span(stages::DETECT);
@@ -317,14 +308,13 @@ impl DataVinci {
             // line. The verdict compares it with the row's own value: values
             // sharing a line (`Birminxham` and `Birmingham` both masked to
             // the city `Birmingham`) can still differ in verdict.
-            let mut concretized: Vec<Option<String>> = vec![None; abstraction.distinct.len()];
+            let mut concretized: Vec<Option<String>> = vec![None; abstraction.n_lines()];
             for row in 0..values.len() {
                 if error_rows[..syntactic].binary_search(&row).is_ok() {
                     continue;
                 }
-                let line = abstraction.row_to_distinct[row] as usize;
-                let plain = concretized[line].get_or_insert_with(|| {
-                    abstraction.concretize(row, &abstraction.value(row).masked)
+                let plain = concretized[abstraction.line_index(row)].get_or_insert_with(|| {
+                    abstraction.concretize(row, abstraction.masked_pool().value(row))
                 });
                 if *plain != values[row] {
                     semantic_only_rows.push(row);
@@ -338,7 +328,6 @@ impl DataVinci {
             col,
             values,
             abstraction,
-            masked_pool,
             profile,
             significant,
             error_rows,
@@ -518,15 +507,6 @@ impl DataVinci {
     }
 }
 
-/// The profiler's pool over an abstraction's masked values, interned from
-/// its distinct values rather than from every row.
-pub(crate) fn masked_pool_of(abstraction: &AbstractedColumn) -> Arc<MaskedPool> {
-    Arc::new(MaskedPool::from_interned(
-        &abstraction.distinct,
-        &abstraction.row_to_distinct,
-    ))
-}
-
 impl CleaningSystem for DataVinci {
     fn name(&self) -> &'static str {
         "DataVinci"
@@ -695,9 +675,7 @@ mod tests {
             {
                 errors.push(row);
             } else if dv.config().semantics == SemanticMode::Full
-                && a.abstraction
-                    .concretize(row, &a.abstraction.value(row).masked)
-                    != a.values[row]
+                && a.abstraction.concretize(row, a.masked(row)) != a.values[row]
             {
                 semantic_only.push(row);
                 errors.push(row);
@@ -745,8 +723,8 @@ mod tests {
                     let typo = values.iter().position(|v| v == "Birminxham").unwrap();
                     let good = values.iter().position(|v| v == "Birmingham").unwrap();
                     assert_eq!(
-                        a.abstraction.row_to_distinct[typo],
-                        a.abstraction.row_to_distinct[good]
+                        a.abstraction.line_index(typo),
+                        a.abstraction.line_index(good)
                     );
                     assert!(a.semantic_only_rows.contains(&typo));
                     assert!(!a.error_rows.contains(&good));

@@ -22,7 +22,7 @@ pub mod stats;
 
 pub use generalize::MergeConfig;
 pub use profiler::{
-    profile_column, profile_column_pooled, profile_plain, rescore_profile, rescore_profile_pooled,
-    ColumnProfile, LearnedPattern, MaskedPool, ProfilerConfig,
+    profile_column, profile_column_pooled, profile_plain, rescore_profile_pooled, ColumnProfile,
+    LearnedPattern, MaskedPool, ProfilerConfig,
 };
 pub use stats::BuildConfig;

@@ -105,9 +105,8 @@ pub fn profile_column(values: &[MaskedString], cfg: &ProfilerConfig) -> ColumnPr
 }
 
 /// [`profile_column`] over a pre-interned [`MaskedPool`] of the column's
-/// values — the pipeline builds each column's pool once from its semantic
-/// abstraction and shares it between profiling, re-scoring, detection and
-/// repair instead of re-deduplicating per call.
+/// values — the pipeline passes the pool its semantic abstraction owns
+/// instead of re-deduplicating the column.
 pub fn profile_column_pooled(dedup: &MaskedPool, cfg: &ProfilerConfig) -> ColumnProfile {
     let n = dedup.n_rows();
     if n == 0 {
@@ -163,6 +162,7 @@ pub fn profile_column_pooled(dedup: &MaskedPool, cfg: &ProfilerConfig) -> Column
     // the NFA per value, and duplicate rows share one membership verdict).
     let learned = {
         let _span = telemetry::span("profile.score");
+        let ascii = AsciiBatch::from_values(dedup.distinct_values());
         let mut learned: Vec<LearnedPattern> = Vec::with_capacity(groups.len() + 1);
         let mut seen: Vec<Pattern> = Vec::new();
         let built: Vec<Pattern> = categorical
@@ -175,7 +175,7 @@ pub fn profile_column_pooled(dedup: &MaskedPool, cfg: &ProfilerConfig) -> Column
             }
             seen.push(pattern.clone());
             let compiled = CompiledPattern::compile(pattern.clone());
-            let rows = dedup.member_rows(&compiled);
+            let rows = dedup.member_rows(&compiled, ascii.as_ref());
             let coverage = rows.len() as f64 / n as f64;
             learned.push(LearnedPattern {
                 pattern,
@@ -209,6 +209,7 @@ pub(crate) fn group_by_shape(dedup: &MaskedPool) -> Vec<GroupProfile> {
     let mut shapes: Vec<Option<DistinctShape>> = (0..dedup.n_distinct()).map(|_| None).collect();
     let mut groups: HashMap<Vec<AtomKind>, GroupProfile> = HashMap::new();
     for (row, &di) in dedup.row_to_distinct.iter().enumerate() {
+        let di = di as usize;
         let shape = shapes[di].get_or_insert_with(|| {
             let atoms = tokenize(&dedup.distinct[di]);
             let sig = signature(&atoms);
@@ -363,87 +364,82 @@ struct DistinctShape {
 /// value once and expands hits back to rows (weighted by multiplicity, i.e.
 /// by how many rows carry the value).
 ///
-/// Public so the pipeline can intern a column's masked values once — from
-/// the semantic abstraction's distinct values ([`MaskedPool::from_interned`])
-/// — and hand the pool to [`profile_column_pooled`],
-/// [`rescore_profile_pooled`] and the repair loop instead of each
-/// re-deduplicating.
-#[derive(Debug, Clone, Default)]
+/// The semantic abstraction owns its column's pool: it builds one with
+/// [`MaskedPool::from_lines`] as it parses the model's response lines, and
+/// profiling, detection and repair borrow it. [`MaskedPool::new`] interns
+/// per-row values instead: the reference `from_lines` is tested against,
+/// and the path of [`profile_column`].
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MaskedPool {
     distinct: Vec<MaskedString>,
-    row_to_distinct: Vec<usize>,
+    row_to_distinct: Vec<u32>,
     /// Rows carrying each distinct value (multiplicity).
-    counts: Vec<usize>,
-    /// The distinct set packed into one contiguous byte buffer, when every
-    /// value is pure mask-free ASCII — the batched DFA fast path's input.
-    ascii: Option<AsciiBatch>,
+    counts: Vec<u32>,
 }
 
 impl MaskedPool {
     /// Interns `values` in first-occurrence order.
     pub fn new(values: &[MaskedString]) -> MaskedPool {
-        let mut index: HashMap<&MaskedString, usize> = HashMap::new();
+        let mut index: HashMap<&MaskedString, u32> = HashMap::new();
         let mut distinct: Vec<MaskedString> = Vec::new();
-        let mut counts: Vec<usize> = Vec::new();
-        let mut row_to_distinct: Vec<usize> = Vec::with_capacity(values.len());
+        let mut counts: Vec<u32> = Vec::new();
+        let mut row_to_distinct: Vec<u32> = Vec::with_capacity(values.len());
         for v in values {
             let di = *index.entry(v).or_insert_with(|| {
                 distinct.push(v.clone());
                 counts.push(0);
-                distinct.len() - 1
+                distinct.len() as u32 - 1
             });
-            counts[di] += 1;
+            counts[di as usize] += 1;
             row_to_distinct.push(di);
         }
-        let ascii = AsciiBatch::from_values(&distinct);
         MaskedPool {
             distinct,
             row_to_distinct,
             counts,
-            ascii,
         }
     }
 
-    /// The pool of the rows `row_to_distinct` spells over an already
-    /// interned value list: row `r` carries `interned[row_to_distinct[r]]`.
+    /// The pool of rows already grouped into lines: row `r` carries
+    /// `lines[row_to_line[r]]`.
     ///
     /// Equal to [`MaskedPool::new`] over the expanded rows, but hashes each
-    /// interned value once instead of every row; interned values that mask
-    /// to one string (`{country(US)}-1`, `{country(FR)}-1`) merge.
+    /// line once and copies nothing: it keeps the lines' own strings, one
+    /// per distinct value, so lines that share a string (`{City(Boston)}`
+    /// and `{City(Seattle)}`, both masked to `⟨City⟩`) merge.
     ///
     /// # Panics
-    /// When a row's index is out of `interned`'s range.
-    pub fn from_interned<T: AsRef<MaskedString>>(
-        interned: &[T],
-        row_to_distinct: &[u32],
-    ) -> MaskedPool {
-        const UNSEEN: usize = usize::MAX;
-        let mut index: HashMap<&MaskedString, usize> = HashMap::new();
-        let mut remap: Vec<usize> = vec![UNSEEN; interned.len()];
-        let mut distinct: Vec<MaskedString> = Vec::new();
-        let mut counts: Vec<usize> = Vec::new();
-        let row_to_distinct: Vec<usize> = row_to_distinct
+    /// When a row's line index is out of `lines`' range.
+    pub fn from_lines(mut lines: Vec<MaskedString>, row_to_line: &[u32]) -> MaskedPool {
+        const UNSEEN: u32 = u32::MAX;
+        let mut index: HashMap<MaskedString, u32> = HashMap::new();
+        let mut remap: Vec<u32> = vec![UNSEEN; lines.len()];
+        let mut counts: Vec<u32> = Vec::new();
+        let row_to_distinct = row_to_line
             .iter()
-            .map(|&i| {
-                let slot = &mut remap[i as usize];
+            .map(|&l| {
+                let slot = &mut remap[l as usize];
                 if *slot == UNSEEN {
-                    let v = interned[i as usize].as_ref();
-                    *slot = *index.entry(v).or_insert_with(|| {
-                        distinct.push(v.clone());
+                    let next = index.len() as u32;
+                    *slot = *index
+                        .entry(std::mem::take(&mut lines[l as usize]))
+                        .or_insert(next);
+                    if *slot == next {
                         counts.push(0);
-                        distinct.len() - 1
-                    });
+                    }
                 }
-                counts[*slot] += 1;
+                counts[*slot as usize] += 1;
                 *slot
             })
             .collect();
-        let ascii = AsciiBatch::from_values(&distinct);
+        let mut distinct = vec![MaskedString::default(); index.len()];
+        for (value, id) in index {
+            distinct[id as usize] = value;
+        }
         MaskedPool {
             distinct,
             row_to_distinct,
             counts,
-            ascii,
         }
     }
 
@@ -452,12 +448,12 @@ impl MaskedPool {
     /// # Panics
     /// When `row` is out of range.
     pub fn value(&self, row: usize) -> &MaskedString {
-        &self.distinct[self.row_to_distinct[row]]
+        &self.distinct[self.row_to_distinct[row] as usize]
     }
 
     /// Index of row `row`'s value in [`MaskedPool::distinct_values`].
     pub fn distinct_index(&self, row: usize) -> usize {
-        self.row_to_distinct[row]
+        self.row_to_distinct[row] as usize
     }
 
     /// The distinct values, in first-occurrence order.
@@ -478,17 +474,18 @@ impl MaskedPool {
     /// Row indices the pattern accepts.
     ///
     /// Batches one DFA membership test per distinct value — stepping raw
-    /// bytes when the distinct set packed as ASCII. The test-only NFA
-    /// oracle deliberately stays per-row, so the differential comparison
-    /// also covers the dedup-and-expand and ASCII-packing steps.
-    fn member_rows(&self, compiled: &CompiledPattern) -> Vec<usize> {
+    /// bytes when the distinct set packed as ASCII (`ascii`, packed by the
+    /// caller once per column). The test-only NFA oracle deliberately stays
+    /// per-row, so the differential comparison also covers the
+    /// dedup-and-expand and ASCII-packing steps.
+    fn member_rows(&self, compiled: &CompiledPattern, ascii: Option<&AsciiBatch>) -> Vec<usize> {
         #[cfg(test)]
         if NFA_ORACLE.with(std::cell::Cell::get) {
             return (0..self.n_rows())
                 .filter(|&row| compiled.matches_nfa(self.value(row)))
                 .collect();
         }
-        let hits = match &self.ascii {
+        let hits = match ascii {
             Some(batch) => {
                 telemetry::counter("profile.ascii_batch_values", batch.len() as u64);
                 compiled.matches_many_ascii(batch)
@@ -498,7 +495,7 @@ impl MaskedPool {
         self.row_to_distinct
             .iter()
             .enumerate()
-            .filter_map(|(row, &di)| hits[di].then_some(row))
+            .filter_map(|(row, &di)| hits[di as usize].then_some(row))
             .collect()
     }
 }
@@ -519,21 +516,23 @@ fn sort_by_coverage(patterns: &mut Vec<LearnedPattern>) {
     *patterns = keyed.into_iter().map(|(_, lp)| lp).collect();
 }
 
-/// Re-scores an existing profile against (possibly extended) column values:
-/// every learned pattern keeps its shape but its `rows`/`coverage` are
-/// recomputed by matching, skipping the expensive learning passes.
+/// [`rescore_profile_pooled`] over per-row values.
+#[cfg(test)]
+pub(crate) fn rescore_profile(prior: &ColumnProfile, values: &[MaskedString]) -> ColumnProfile {
+    rescore_profile_pooled(prior, &MaskedPool::new(values))
+}
+
+/// Re-scores an existing profile against (possibly extended) column values
+/// interned in `dedup`: every learned pattern keeps its shape but its
+/// `rows`/`coverage` are recomputed by matching, skipping the expensive
+/// learning passes.
 ///
 /// This is the cache primitive behind append-only re-cleaning: when a column
 /// grows but its old rows are unchanged, the previously learned patterns
 /// still describe the column language and only membership needs refreshing.
-pub fn rescore_profile(prior: &ColumnProfile, values: &[MaskedString]) -> ColumnProfile {
-    rescore_profile_pooled(prior, &MaskedPool::new(values))
-}
-
-/// [`rescore_profile`] over a pre-interned [`MaskedPool`] of the column's
-/// values (see [`profile_column_pooled`]).
 pub fn rescore_profile_pooled(prior: &ColumnProfile, dedup: &MaskedPool) -> ColumnProfile {
     let n = dedup.n_rows();
+    let ascii = AsciiBatch::from_values(dedup.distinct_values());
     let mut patterns: Vec<LearnedPattern> = prior
         .patterns
         .iter()
@@ -542,7 +541,7 @@ pub fn rescore_profile_pooled(prior: &ColumnProfile, dedup: &MaskedPool) -> Colu
             // shares the prior's warm memo tables, so an append-only
             // re-score pays one table lookup per token instead of a fresh
             // NFA walk.
-            let rows = dedup.member_rows(&lp.compiled);
+            let rows = dedup.member_rows(&lp.compiled, ascii.as_ref());
             let coverage = if n == 0 {
                 0.0
             } else {
@@ -859,58 +858,39 @@ mod tests {
         assert_eq!(canon(&rescore_profile(&direct, &values)), canon(&rescored));
     }
 
-    /// Every observable part of a pool, for equality checks.
-    type PoolParts = (
-        Vec<MaskedString>,
-        Vec<usize>,
-        Vec<usize>,
-        Option<Vec<Vec<u8>>>,
-    );
-
-    fn pool_parts(pool: &MaskedPool) -> PoolParts {
-        (
-            pool.distinct.clone(),
-            pool.row_to_distinct.clone(),
-            pool.counts.clone(),
-            pool.ascii
-                .as_ref()
-                .map(|b| (0..b.len()).map(|i| b.value(i).to_vec()).collect()),
-        )
-    }
-
     #[test]
-    fn from_interned_merges_values_sharing_a_masked_string() {
-        // `{country(US)}-1` and `{country(FR)}-1` are two interned values
-        // with one masked string `⟨m0⟩-1`.
+    fn from_lines_merges_lines_sharing_a_masked_string() {
+        // `{country(US)}-1` and `{country(FR)}-1` are two lines with one
+        // masked string `⟨m0⟩-1`.
         let mask = |rest: &str| {
             let mut toks = vec![datavinci_regex::Tok::Mask(datavinci_regex::MaskId(0))];
             toks.extend(rest.chars().map(datavinci_regex::Tok::Char));
             MaskedString::from_toks(toks)
         };
-        let interned = vec![mask("-1"), MaskedString::from_plain("x"), mask("-1")];
+        let lines = vec![mask("-1"), MaskedString::from_plain("x"), mask("-1")];
         let ids = [2u32, 0, 1, 2, 0];
-        let rows: Vec<MaskedString> = ids.iter().map(|&i| interned[i as usize].clone()).collect();
-        let pool = MaskedPool::from_interned(&interned, &ids);
+        let rows: Vec<MaskedString> = ids.iter().map(|&i| lines[i as usize].clone()).collect();
+        let pool = MaskedPool::from_lines(lines, &ids);
         assert_eq!(pool.n_distinct(), 2);
-        assert_eq!(pool_parts(&pool), pool_parts(&MaskedPool::new(&rows)));
+        assert_eq!(pool, MaskedPool::new(&rows));
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(128))]
 
-        /// `from_interned` equals `new` over the expanded rows: the same
-        /// distinct values in first-occurrence order, row map, counts and
-        /// ASCII batch — whatever order the interned list is in, with
-        /// duplicate and unused interned entries.
+        /// `from_lines` equals `new` over the expanded rows: the same
+        /// distinct values in first-occurrence order, row map and counts —
+        /// whatever order the lines are in, with duplicate and unused
+        /// lines.
         #[test]
-        fn from_interned_equals_new_over_expanded_rows(
-            interned in proptest::collection::vec(
+        fn from_lines_equals_new_over_expanded_rows(
+            lines in proptest::collection::vec(
                 (0..4usize, "[ab1é-]{0,3}"),
                 1..8,
             ),
             picks in proptest::collection::vec(0..64u32, 0..40),
         ) {
-            let interned: Vec<MaskedString> = interned
+            let lines: Vec<MaskedString> = lines
                 .iter()
                 .map(|(masks, rest)| {
                     let mut toks: Vec<datavinci_regex::Tok> = (0..*masks % 3)
@@ -920,11 +900,11 @@ mod tests {
                     MaskedString::from_toks(toks)
                 })
                 .collect();
-            let ids: Vec<u32> = picks.iter().map(|&p| p % interned.len() as u32).collect();
+            let ids: Vec<u32> = picks.iter().map(|&p| p % lines.len() as u32).collect();
             let rows: Vec<MaskedString> =
-                ids.iter().map(|&i| interned[i as usize].clone()).collect();
-            let pool = MaskedPool::from_interned(&interned, &ids);
-            proptest::prop_assert_eq!(pool_parts(&pool), pool_parts(&MaskedPool::new(&rows)));
+                ids.iter().map(|&i| lines[i as usize].clone()).collect();
+            let pool = MaskedPool::from_lines(lines, &ids);
+            proptest::prop_assert_eq!(&pool, &MaskedPool::new(&rows));
             for (row, v) in rows.iter().enumerate() {
                 proptest::prop_assert_eq!(pool.value(row), v);
             }

@@ -160,12 +160,6 @@ impl fmt::Display for MaskedString {
     }
 }
 
-impl AsRef<MaskedString> for MaskedString {
-    fn as_ref(&self) -> &MaskedString {
-        self
-    }
-}
-
 impl From<&str> for MaskedString {
     fn from(s: &str) -> Self {
         MaskedString::from_plain(s)

@@ -4,8 +4,12 @@
 //! *distinct* value and weight aggregates by multiplicity; this helper is
 //! their shared intern step. It is the only interning of raw column values:
 //! the model interns each prompt batch, the column-type detector interns the
-//! whole column, and so does the mask-free [`crate::AbstractedColumn::plain`]
-//! (a masked abstraction keeps one entry per distinct response line).
+//! whole column, and so does the mask-free [`crate::AbstractedColumn::plain`],
+//! whose distinct values are its lines. A masked abstraction interns
+//! response lines instead. Either way, the lines' masked strings are then
+//! interned by value into the column's own
+//! [`MaskedPool`](datavinci_profile::MaskedPool), which keeps one copy of
+//! each.
 
 /// Distinct values in first-occurrence order, their multiplicities, and the
 /// input-position → distinct-index map.

@@ -6,7 +6,9 @@
 //! repaired masked values can be *re-concretized* into plain strings.
 //!
 //! The abstraction is distinct-keyed: each distinct response line is
-//! parsed once into a [`MaskedValue`], and rows refer to it by index.
+//! parsed once into a [`MaskedValue`], rows refer to it by index, and the
+//! lines' masked strings are interned once more, by value, into the
+//! column's [`MaskedPool`].
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -14,6 +16,7 @@ use std::collections::HashMap;
 use crate::llm::LanguageModel;
 use crate::prompt::{build_prompts_after, preamble};
 use crate::types::SemanticType;
+use datavinci_profile::MaskedPool;
 use datavinci_regex::{MaskAlphabet, MaskId, MaskedString, Tok};
 use datavinci_telemetry as telemetry;
 
@@ -38,24 +41,21 @@ pub struct MaskedValue {
     pub occurrences: Vec<MaskOccurrence>,
 }
 
-impl AsRef<MaskedString> for MaskedValue {
-    fn as_ref(&self) -> &MaskedString {
-        &self.masked
-    }
-}
-
-/// A fully abstracted column, stored once per distinct abstracted value.
+/// A fully abstracted column, interned at two levels.
 ///
-/// Row `r`'s value is `distinct[row_to_distinct[r]]` ([`AbstractedColumn::value`]).
-/// [`SemanticAbstractor::abstract_column`] keys `distinct` by model
-/// response line in first-occurrence order, so two rows share an entry
-/// exactly when the model answered them with the same line.
+/// [`SemanticAbstractor::abstract_column`] parses each distinct model
+/// response line once, in first-occurrence order, so two rows share a
+/// line exactly when the model answered them alike; a line keeps its mask
+/// occurrences. The lines' masked strings go into the column's
+/// [`MaskedPool`], one per distinct string: lines that mask alike
+/// (`{City(Boston)}`, `{City(Seattle)}`) share one. The fields are private
+/// so that the two levels always agree.
 #[derive(Debug, Clone, Default)]
 pub struct AbstractedColumn {
-    /// The distinct abstracted values.
-    pub distinct: Vec<MaskedValue>,
-    /// For every row, the index of its value in `distinct`.
-    pub row_to_distinct: Vec<u32>,
+    /// The mask occurrences of each distinct line.
+    lines: Vec<Vec<MaskOccurrence>>,
+    row_to_line: Vec<u32>,
+    masked: MaskedPool,
     /// Mask-symbol names (semantic type display names).
     pub alphabet: MaskAlphabet,
     /// Column-level default suggestion per mask symbol (majority), used to
@@ -64,23 +64,38 @@ pub struct AbstractedColumn {
 }
 
 impl AbstractedColumn {
+    /// Splits parsed lines into their occurrences and the masked pool.
+    fn assemble(
+        lines: Vec<MaskedValue>,
+        row_to_line: Vec<u32>,
+        alphabet: MaskAlphabet,
+        defaults: HashMap<MaskId, String>,
+    ) -> AbstractedColumn {
+        let (masked, lines): (Vec<_>, Vec<_>) =
+            lines.into_iter().map(|v| (v.masked, v.occurrences)).unzip();
+        AbstractedColumn {
+            masked: MaskedPool::from_lines(masked, &row_to_line),
+            lines,
+            row_to_line,
+            alphabet,
+            defaults,
+        }
+    }
+
     /// Abstraction that performs no masking (the "no semantic abstraction"
     /// ablation of paper §5.4.1, and the fast path for mask-free columns).
     pub fn plain<S: AsRef<str>>(values: &[S]) -> AbstractedColumn {
         let pool = crate::intern::intern_values(values);
-        AbstractedColumn {
-            distinct: pool
-                .distinct
-                .iter()
-                .map(|v| MaskedValue {
-                    masked: MaskedString::from_plain(v),
-                    occurrences: Vec::new(),
-                })
-                .collect(),
-            row_to_distinct: pool.row_to_distinct.iter().map(|&d| d as u32).collect(),
-            alphabet: MaskAlphabet::new(),
-            defaults: HashMap::new(),
-        }
+        let lines = pool
+            .distinct
+            .iter()
+            .map(|v| MaskedValue {
+                masked: MaskedString::from_plain(v),
+                occurrences: Vec::new(),
+            })
+            .collect();
+        let row_to_line = pool.row_to_distinct.iter().map(|&d| d as u32).collect();
+        AbstractedColumn::assemble(lines, row_to_line, MaskAlphabet::new(), HashMap::new())
     }
 
     /// An abstraction from one value per row, interned by value (the
@@ -91,53 +106,65 @@ impl AbstractedColumn {
         defaults: HashMap<MaskId, String>,
     ) -> AbstractedColumn {
         let mut index: HashMap<MaskedValue, u32> = HashMap::new();
-        let mut distinct = Vec::new();
-        let row_to_distinct = rows
+        let mut lines = Vec::new();
+        let row_to_line = rows
             .into_iter()
             .map(|v| match index.entry(v) {
                 Entry::Occupied(e) => *e.get(),
                 Entry::Vacant(e) => {
-                    distinct.push(e.key().clone());
-                    *e.insert(distinct.len() as u32 - 1)
+                    lines.push(e.key().clone());
+                    *e.insert(lines.len() as u32 - 1)
                 }
             })
             .collect();
-        AbstractedColumn {
-            distinct,
-            row_to_distinct,
-            alphabet,
-            defaults,
-        }
+        AbstractedColumn::assemble(lines, row_to_line, alphabet, defaults)
     }
 
     /// Number of rows.
     pub fn n_rows(&self) -> usize {
-        self.row_to_distinct.len()
+        self.row_to_line.len()
     }
 
-    /// Row `row`'s abstracted value.
+    /// Number of distinct response lines.
+    pub fn n_lines(&self) -> usize {
+        self.lines.len()
+    }
+
+    /// Index of row `row`'s line; rows with one line share its masked
+    /// string and mask occurrences.
     ///
     /// # Panics
     /// When `row` is out of range.
-    pub fn value(&self, row: usize) -> &MaskedValue {
-        &self.distinct[self.row_to_distinct[row] as usize]
+    pub fn line_index(&self, row: usize) -> usize {
+        self.row_to_line[row] as usize
     }
 
-    /// Every row's abstracted value, in row order.
-    pub fn values(&self) -> impl ExactSizeIterator<Item = &MaskedValue> + '_ {
-        self.row_to_distinct
-            .iter()
-            .map(|&d| &self.distinct[d as usize])
+    /// Row `row`'s mask occurrences, aligned with the mask tokens of its
+    /// masked string.
+    ///
+    /// # Panics
+    /// When `row` is out of range.
+    pub fn occurrences(&self, row: usize) -> &[MaskOccurrence] {
+        &self.lines[self.line_index(row)]
+    }
+
+    /// The column's distinct masked strings, what profiling, detection and
+    /// repair read (row `r`'s is `masked_pool().value(r)`).
+    pub fn masked_pool(&self) -> &MaskedPool {
+        &self.masked
     }
 
     /// Did abstraction produce any masks at all?
     pub fn has_masks(&self) -> bool {
-        self.distinct.iter().any(|v| !v.occurrences.is_empty())
+        self.lines.iter().any(|occurrences| !occurrences.is_empty())
     }
 
     /// The masked strings, copied out in row order.
-    pub fn masked_strings(&self) -> Vec<MaskedString> {
-        self.values().map(|v| v.masked.clone()).collect()
+    #[cfg(test)]
+    fn masked_strings(&self) -> Vec<MaskedString> {
+        (0..self.n_rows())
+            .map(|r| self.masked.value(r).clone())
+            .collect()
     }
 
     /// Concretizes a (possibly repaired) masked string for row `row`:
@@ -145,9 +172,9 @@ impl AbstractedColumn {
     /// order; extra (repair-inserted) masks fall back to the column default.
     pub fn concretize(&self, row: usize, repaired: &MaskedString) -> String {
         let occurrences = self
-            .row_to_distinct
+            .row_to_line
             .get(row)
-            .map(|&d| self.distinct[d as usize].occurrences.as_slice())
+            .map(|&l| self.lines[l as usize].as_slice())
             .unwrap_or(&[]);
         concretize_with(occurrences, &self.defaults, repaired)
     }
@@ -242,42 +269,37 @@ impl<L: LanguageModel> SemanticAbstractor<L> {
         let _span = telemetry::span("mask.parse");
         let mut parser = LineParser::default();
         let mut ids: HashMap<&str, u32> = HashMap::with_capacity(values.len());
-        let mut distinct: Vec<MaskedValue> = Vec::new();
+        let mut lines: Vec<MaskedValue> = Vec::new();
         let mut counts: Vec<usize> = Vec::with_capacity(values.len());
-        let mut row_to_distinct = vec![0u32; values.len()];
+        let mut row_to_line = vec![0u32; values.len()];
         for (batch, response) in batches.iter().zip(&responses) {
-            let mut lines = response.lines();
+            let mut response_lines = response.lines();
             for &row in &batch.rows {
-                let line = lines.next().unwrap_or(values[row].as_str());
+                let line = response_lines.next().unwrap_or(values[row].as_str());
                 let id = match ids.entry(line) {
                     Entry::Occupied(e) => *e.get(),
                     Entry::Vacant(e) => {
-                        distinct.push(parser.parse(line));
+                        lines.push(parser.parse(line));
                         counts.push(0);
-                        *e.insert(distinct.len() as u32 - 1)
+                        *e.insert(lines.len() as u32 - 1)
                     }
                 };
                 counts[id as usize] += 1;
-                row_to_distinct[row] = id;
+                row_to_line[row] = id;
             }
         }
-        telemetry::counter("mask.lines_parsed", distinct.len() as u64);
-        let defaults = vote_defaults(&distinct, &counts);
-        AbstractedColumn {
-            distinct,
-            row_to_distinct,
-            alphabet: parser.alphabet,
-            defaults,
-        }
+        telemetry::counter("mask.lines_parsed", lines.len() as u64);
+        let defaults = vote_defaults(&lines, &counts);
+        AbstractedColumn::assemble(lines, row_to_line, parser.alphabet, defaults)
     }
 }
 
 /// Column defaults: per mask symbol, the suggestion with the most rows
-/// (ties to the shorter, then the greater text). `counts[d]` is the number
-/// of rows carrying `distinct[d]`.
-fn vote_defaults(distinct: &[MaskedValue], counts: &[usize]) -> HashMap<MaskId, String> {
+/// (ties to the shorter, then the greater text). `counts[l]` is the number
+/// of rows carrying `lines[l]`.
+fn vote_defaults(lines: &[MaskedValue], counts: &[usize]) -> HashMap<MaskId, String> {
     let mut votes: HashMap<(MaskId, &str), usize> = HashMap::new();
-    for (v, &count) in distinct.iter().zip(counts) {
+    for (v, &count) in lines.iter().zip(counts) {
         for o in &v.occurrences {
             *votes.entry((o.mask, o.suggestion.as_str())).or_insert(0) += count;
         }
@@ -425,26 +447,26 @@ mod tests {
         assert!(c.has_masks());
         // Row 1 (usa_837): one country mask, suggestion normalized by the
         // column's majority form.
-        let v = c.value(1);
-        assert_eq!(v.occurrences.len(), 1);
-        assert_eq!(v.occurrences[0].semantic_type, SemanticType::Country);
+        let occurrences = c.occurrences(1);
+        assert_eq!(occurrences.len(), 1);
+        assert_eq!(occurrences[0].semantic_type, SemanticType::Country);
         // The masked string is ⟨Country⟩_837.
-        assert_eq!(v.masked.render(&c.alphabet), "⟨Country⟩_837");
+        let masked = c.masked_pool().value(1);
+        assert_eq!(masked.render(&c.alphabet), "⟨Country⟩_837");
     }
 
     #[test]
     fn concretize_replaces_masks_in_order() {
         let c = col(&["US-1-FR", "DE-2-IT", "GB-3-ES", "FR-4-US"]);
-        let v = c.value(0);
-        assert_eq!(v.occurrences.len(), 2);
-        let plain = c.concretize(0, &v.masked);
+        assert_eq!(c.occurrences(0).len(), 2);
+        let plain = c.concretize(0, c.masked_pool().value(0));
         assert_eq!(plain, "US-1-FR");
     }
 
     #[test]
     fn concretize_inserted_mask_uses_column_default() {
         let c = col(&["US-1", "US-2", "US-3", "FR-4"]);
-        let id = c.value(0).occurrences[0].mask;
+        let id = c.occurrences(0)[0].mask;
         // A repaired value that *inserts* an extra mask beyond row 0's one
         // occurrence: [mask, '-', mask].
         let repaired = MaskedString::from_toks(vec![Tok::Mask(id), Tok::Char('-'), Tok::Mask(id)]);
@@ -496,8 +518,9 @@ mod tests {
     fn plain_abstraction_never_masks() {
         let c = AbstractedColumn::plain(&["US-1", "FR-2"]);
         assert!(!c.has_masks());
-        assert_eq!(c.value(0).masked.to_plain().as_deref(), Some("US-1"));
-        assert_eq!(c.concretize(0, &c.value(0).masked), "US-1");
+        let masked = c.masked_pool().value(0);
+        assert_eq!(masked.to_plain().as_deref(), Some("US-1"));
+        assert_eq!(c.concretize(0, masked), "US-1");
     }
 
     #[test]
@@ -511,22 +534,80 @@ mod tests {
     #[test]
     fn duplicate_lines_share_one_distinct_value() {
         let c = col(&["US-1", "FR-2", "US-1", "US-1", "FR-2"]);
-        assert_eq!(c.distinct.len(), 2);
-        assert_eq!(c.row_to_distinct, [0, 1, 0, 0, 1]);
+        assert_eq!(c.n_lines(), 2);
+        let lines: Vec<usize> = (0..c.n_rows()).map(|r| c.line_index(r)).collect();
+        assert_eq!(lines, [0, 1, 0, 0, 1]);
         assert_eq!(c.n_rows(), 5);
-        assert_eq!(c.values().count(), 5);
+        assert_eq!(c.masked_pool().n_rows(), 5);
+        assert_eq!(c.masked_pool().n_distinct(), 2);
+    }
+
+    /// Row `row`'s value, copied out.
+    fn row_value(c: &AbstractedColumn, row: usize) -> MaskedValue {
+        MaskedValue {
+            masked: c.masked_pool().value(row).clone(),
+            occurrences: c.occurrences(row).to_vec(),
+        }
+    }
+
+    fn rows_of(c: &AbstractedColumn) -> Vec<MaskedValue> {
+        (0..c.n_rows()).map(|r| row_value(c, r)).collect()
     }
 
     #[test]
     fn from_rows_interns_equal_values() {
         let c = col(&["US-1", "FR-2", "US-1", "usa-1"]);
-        let rows: Vec<MaskedValue> = c.values().cloned().collect();
-        let back = AbstractedColumn::from_rows(rows, c.alphabet.clone(), c.defaults.clone());
+        let back = AbstractedColumn::from_rows(rows_of(&c), c.alphabet.clone(), c.defaults.clone());
         // `US-1` and `usa-1` both mask to `{country(US)}-1`.
-        assert_eq!(back.distinct.len(), 2);
+        assert_eq!(back.n_lines(), 2);
         for row in 0..c.n_rows() {
-            assert_eq!(back.value(row), c.value(row));
+            assert_eq!(row_value(&back, row), row_value(&c, row));
         }
+    }
+
+    // -------------------------------------------------------- masked pool
+
+    /// Asserts the column's masked pool equals the profiler's per-row
+    /// reference pool: distinct strings in first-occurrence order, the row
+    /// ids and the counts.
+    fn assert_pool_matches_rows(c: &AbstractedColumn) {
+        assert_eq!(c.masked_pool(), &MaskedPool::new(&c.masked_strings()));
+    }
+
+    /// `plain` over the raw values, and `from_rows` over `c`'s rows, build
+    /// pools equal to the reference pool; `from_rows` reproduces `c`'s.
+    fn assert_other_pools_match_rows(c: &AbstractedColumn, values: &[String]) {
+        assert_pool_matches_rows(&AbstractedColumn::plain(values));
+        let back = AbstractedColumn::from_rows(rows_of(c), c.alphabet.clone(), c.defaults.clone());
+        assert_pool_matches_rows(&back);
+        assert_eq!(back.masked_pool(), c.masked_pool());
+    }
+
+    #[test]
+    fn lines_sharing_a_masked_string_share_it() {
+        let mut alphabet = MaskAlphabet::new();
+        let boston = parse_masked_value("{city(Boston)}-1", &mut alphabet);
+        let seattle = parse_masked_value("{city(Seattle)}-1", &mut alphabet);
+        let other = parse_masked_value("x", &mut alphabet);
+        assert_eq!(boston.masked, seattle.masked);
+        let rows = vec![
+            other.clone(),
+            seattle.clone(),
+            boston.clone(),
+            seattle,
+            other,
+            boston,
+        ];
+        let c = AbstractedColumn::from_rows(rows, alphabet, HashMap::new());
+        assert_eq!(c.n_lines(), 3);
+        let pool = c.masked_pool();
+        assert_eq!(pool.n_distinct(), 2);
+        let ids: Vec<usize> = (0..c.n_rows()).map(|r| pool.distinct_index(r)).collect();
+        assert_eq!(ids, [0, 1, 1, 1, 0, 1]);
+        // The lines keep their own suggestions.
+        assert_eq!(c.occurrences(1)[0].suggestion, "Seattle");
+        assert_eq!(c.occurrences(2)[0].suggestion, "Boston");
+        assert_pool_matches_rows(&c);
     }
 
     // ---------------------------------------------------------- oracles
@@ -760,9 +841,9 @@ mod tests {
         assert_eq!(fast.defaults, slow.defaults, "{values:?}");
         let slow_masked: Vec<MaskedString> = slow.values.iter().map(|v| v.masked.clone()).collect();
         assert_eq!(fast.masked_strings(), slow_masked, "{values:?}");
+        assert_pool_matches_rows(fast);
         for (row, expected) in slow.values.iter().enumerate() {
-            assert_eq!(fast.value(row), expected, "row {row} of {values:?}");
-            assert_eq!(fast.values().nth(row), Some(expected));
+            assert_eq!(&row_value(fast, row), expected, "row {row} of {values:?}");
             assert_eq!(
                 fast.concretize(row, &expected.masked),
                 slow.concretize(row, &expected.masked)
@@ -861,6 +942,7 @@ mod tests {
             let oracle = stub_abstractor(DISTORTIONS[d]);
             let slow = abstract_column_rowwise(&oracle, "col", &values);
             assert_matches_rowwise(&fast, &slow, &values);
+            assert_other_pools_match_rows(&fast, &values);
         }
 
         #[test]
@@ -900,6 +982,7 @@ mod tests {
             let oracle = stub_abstractor(DISTORTIONS[d]);
             let slow = abstract_column_rowwise(&oracle, "col", &values);
             assert_matches_rowwise(&fast, &slow, &values);
+            assert_other_pools_match_rows(&fast, &values);
         }
     }
 
@@ -910,7 +993,7 @@ mod tests {
         let values: Vec<String> = vec!["US-1".to_string(); 1200];
         let abstractor = stub_abstractor(Distortion::PerBatch);
         let fast = abstractor.abstract_column("col", &values);
-        assert_eq!(fast.distinct.len(), 2, "{:?}", fast.distinct);
+        assert_eq!(fast.n_lines(), 2, "{fast:?}");
         let slow = abstract_column_rowwise(&stub_abstractor(Distortion::PerBatch), "col", &values);
         assert_matches_rowwise(&fast, &slow, &values);
     }
@@ -942,7 +1025,7 @@ mod tests {
         let (c, profile) = telemetry::collect(true, || col_of(&values));
         let metrics = profile.expect("collecting").metrics;
         assert_eq!(metrics.counters.get("mask.lines_parsed"), Some(&2));
-        assert_eq!(c.distinct.len(), 2);
+        assert_eq!(c.n_lines(), 2);
     }
 
     fn col_of(values: &[String]) -> AbstractedColumn {

@@ -21,8 +21,9 @@ fn abstract_col(values: &[&str]) -> datavinci::semantic::AbstractedColumn {
 fn quarters_are_never_masked_wholesale() {
     let c = abstract_col(&["Q4-2002", "Q3-2002", "Q32001"]);
     assert!(!c.has_masks());
-    for v in c.values() {
-        assert!(v.occurrences.is_empty());
+    assert_eq!(c.n_rows(), 3);
+    for row in 0..c.n_rows() {
+        assert!(c.occurrences(row).is_empty());
     }
 }
 
@@ -30,7 +31,7 @@ fn quarters_are_never_masked_wholesale() {
 #[test]
 fn dotted_country_normalizes_to_column_form() {
     let c = abstract_col(&["US-1", "u.k.-392", "DE-7", "FR-9"]);
-    let occ = &c.value(1).occurrences;
+    let occ = c.occurrences(1);
     assert_eq!(occ.len(), 1);
     assert_eq!(occ[0].semantic_type, SemanticType::Country);
     assert_eq!(occ[0].suggestion, "GB"); // ISO-2 column majority
